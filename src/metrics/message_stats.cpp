@@ -45,6 +45,19 @@ MessageStats MessageStats::diff_since(const MessageStats& earlier) const {
   return out;
 }
 
+void MessageStats::merge(const MessageStats& other) {
+  for (std::size_t i = 0; i < kMaxTypes; ++i) {
+    sent_by_type_[i] += other.sent_by_type_[i];
+  }
+  total_sent_ += other.total_sent_;
+  total_dropped_ += other.total_dropped_;
+  control_bits_ += other.control_bits_;
+  data_bits_ += other.data_bits_;
+  max_control_bits_ = std::max(max_control_bits_, other.max_control_bits_);
+  local_memory_peak_ = std::max(local_memory_peak_, other.local_memory_peak_);
+  local_memory_last_ = std::max(local_memory_last_, other.local_memory_last_);
+}
+
 void MessageStats::record_local_memory(std::uint64_t bytes) {
   local_memory_last_ = bytes;
   local_memory_peak_ = std::max(local_memory_peak_, bytes);

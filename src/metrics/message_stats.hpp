@@ -55,6 +55,12 @@ class MessageStats {
   MessageStats snapshot() const { return *this; }
   /// Per-field difference (this - earlier); counters are monotone.
   MessageStats diff_since(const MessageStats& earlier) const;
+  /// Fold another tally in (runtimes that count per process merge their
+  /// parts into one snapshot): counters add, the per-frame control-bit
+  /// max and both local-memory gauges take the larger value — for gauges
+  /// recorded per process at the same quiescent point, that is the group
+  /// figure a single shared tally would have recorded.
+  void merge(const MessageStats& other);
 
   void reset();
 

@@ -64,10 +64,15 @@ Connection::FlushOutcome Connection::flush() {
 IoStatus Connection::read_budgeted() {
   std::size_t budget = limits_.read_budget;
   while (budget > 0) {
-    const auto io = tcp::read_some(fd_.get(), inbuf_.tail(), budget);
+    const std::size_t want = std::min(budget, tcp::kReadChunkBytes);
+    const auto io = tcp::read_some(fd_.get(), inbuf_.tail(), want);
     if (io.status == IoStatus::kClosed) return IoStatus::kClosed;
     if (io.status == IoStatus::kWouldBlock) break;
-    budget -= std::min(budget, io.bytes);
+    budget -= io.bytes;
+    // A short read took everything the socket held: stop instead of paying
+    // one more read(2) just to hear EAGAIN. Bytes that land later keep the
+    // fd readable, and level-triggered epoll reports it again.
+    if (io.bytes < want) break;
   }
   return IoStatus::kOk;
 }

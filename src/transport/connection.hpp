@@ -15,7 +15,9 @@
 // Budgets bound per-readiness-round work so one hot connection cannot
 // starve the rest of its event loop: a readiness callback reads at most
 // `read_budget` bytes and writes at most `write_budget` bytes, then
-// yields (level-triggered epoll re-reports the remainder).
+// yields (level-triggered epoll re-reports the remainder). A read round
+// also ends at the first short read — the socket is empty, so the read(2)
+// that would only return EAGAIN is skipped.
 //
 // Threading: a Connection is owned by exactly one event loop and only
 // ever touched from that loop's thread (or from the setup thread before
@@ -95,11 +97,15 @@ class Connection {
 
   // ---- receive side --------------------------------------------------------------
 
-  /// Read up to `read_budget` bytes into the inbound frame ring. Returns
+  /// Read up to `read_budget` bytes into the inbound frame ring, stopping
+  /// early at the first read that returns less than it asked for. Returns
   /// kClosed on EOF/reset, kOk otherwise (partial progress included).
   IoStatus read_budgeted();
   /// Peel the next complete inbound frame (see FrameBuffer::next_frame).
   bool next_frame(std::string_view& frame) { return inbuf_.next_frame(frame); }
+  /// The peer announced a frame above FrameBuffer::kMaxFrameBytes: the
+  /// stream is unusable and the owner must close the channel.
+  bool inbound_overlong() const noexcept { return inbuf_.overlong(); }
   /// Inbound bytes buffered but not yet consumed as frames.
   std::size_t inbuf_pending() const noexcept { return inbuf_.pending_bytes(); }
 

@@ -11,6 +11,11 @@
 // when the buffer drains completely), so consuming a frame costs O(frame)
 // amortized and the storage is recycled like every other hot-path buffer
 // in the tree.
+//
+// Length prefixes come from peers, so they are not trusted: a prefix above
+// kMaxFrameBytes marks the buffer overlong() and no further frame is
+// produced (the stream cannot be resynchronized). Without the cap one
+// forged prefix would make the loop buffer up to 4 GiB for it.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +26,10 @@ namespace tbr {
 
 class FrameBuffer {
  public:
+  /// Largest payload a peer may announce: far above any frame the
+  /// protocols send (a register value plus a few control bytes).
+  static constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
+
   /// The tail storage new stream bytes are appended onto (hand this to
   /// tcp::read_some). Only ever append; the head is managed here.
   std::string& tail() noexcept { return buf_; }
@@ -29,10 +38,16 @@ class FrameBuffer {
   /// payload, consume it, and return true. The view stays valid until the
   /// next call against this buffer (consumption only moves the offset;
   /// compaction happens between frames, never under a live view).
+  /// A frame whose prefix exceeds kMaxFrameBytes is never consumed: this
+  /// returns false and overlong() turns true.
   bool next_frame(std::string_view& frame) {
     maybe_compact();
-    if (buf_.size() - pos_ < kHeader) return false;
+    if (overlong_ || buf_.size() - pos_ < kHeader) return false;
     const std::uint32_t len = peek_len();
+    if (len > kMaxFrameBytes) {
+      overlong_ = true;
+      return false;
+    }
     if (buf_.size() - pos_ < kHeader + len) return false;
     frame = std::string_view(buf_).substr(pos_ + kHeader, len);
     pos_ += kHeader + len;
@@ -55,10 +70,13 @@ class FrameBuffer {
   /// How many times the consumed prefix was actually memmoved out — the
   /// amortization the ring buys (the old code compacted once per drain).
   std::uint64_t compactions() const noexcept { return compactions_; }
+  /// A length prefix above kMaxFrameBytes arrived; cleared by clear().
+  bool overlong() const noexcept { return overlong_; }
 
   void clear() {
     buf_.clear();
     pos_ = 0;
+    overlong_ = false;
   }
 
  private:
@@ -94,6 +112,7 @@ class FrameBuffer {
   std::string buf_;
   std::size_t pos_ = 0;
   std::uint64_t compactions_ = 0;
+  bool overlong_ = false;
 };
 
 }  // namespace tbr

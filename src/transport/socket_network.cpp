@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <mutex>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -33,6 +34,11 @@ constexpr std::uint64_t kWakeTag = ~std::uint64_t{0};
 // changes are O(1) epoll_ctl calls against a cached armed-events mask,
 // nothing is rebuilt per iteration (the poll(2) engine this replaces
 // rebuilt and rescanned its whole pollfd array every wakeup).
+//
+// The command queue and wake pipe are for other threads only. Work that
+// originates on the loop's own thread — a completion callback issuing the
+// next op for a process on this loop — is admitted in place, saving the
+// pipe write(2), the queue lock, an epoll round and the pipe read(2).
 
 class SocketNetwork::Loop {
  public:
@@ -95,6 +101,12 @@ class SocketNetwork::Loop {
     w.armed = 0;
     w.fd = -1;
   }
+
+  /// True on this loop's own thread while it runs (not during the
+  /// shutdown drain, so late submissions take the closed queue).
+  bool on_this_thread() const noexcept { return current_ == this; }
+  /// An op joined some node's admission FIFO (loop thread only).
+  void note_admission() noexcept { admitted_ = true; }
 
   bool submit(Command&& cmd) {
     {
@@ -164,7 +176,15 @@ class SocketNetwork::Loop {
 
   std::vector<Timer> timers_;  // min-heap
   std::uint64_t timer_seq_ = 0;
+
+  /// Set while admissions arrived since the last pump pass (loop thread).
+  bool admitted_ = false;
+  /// The loop running on this thread, if any.
+  static thread_local const Loop* current_;
 };
+
+thread_local const SocketNetwork::Loop* SocketNetwork::Loop::current_ =
+    nullptr;
 
 // ---- Node: one process, its connections, its handlers --------------------------
 
@@ -179,12 +199,13 @@ class SocketNetwork::Node final : public NetworkContext {
   void send(ProcessId to, const Message& msg) override {
     TBR_ENSURE(to < peers_.size() && to != pid_, "bad destination");
     if (crashed_) return;
-    net_.record_send(msg.type, msg.wire);
     Connection& conn = peers_[to];
-    if (!conn.alive()) {
-      net_.record_drop(msg.type);
-      return;
+    {
+      const std::scoped_lock lock(stats_mu_);
+      stats_.record_send(msg.type, msg.wire);
+      if (!conn.alive()) stats_.record_drop(msg.type);
     }
+    if (!conn.alive()) return;
     // encode_into a reused scratch, then frame into the connection's
     // outbuf: no fresh string per send (the buffer-pool discipline of the
     // threaded runtime, ported to the socket path).
@@ -224,8 +245,6 @@ class SocketNetwork::Node final : public NetworkContext {
     return port;
   }
   int listener_fd() const { return listener_.get(); }
-  /// Main thread, only before start() or after stop() joins the loops.
-  RegisterProcessBase& process_unlocked() noexcept { return *proc_; }
 
   void attach_loop(Loop* loop, const ConnLimits& limits) {
     loop_ = loop;
@@ -243,6 +262,7 @@ class SocketNetwork::Node final : public NetworkContext {
     TBR_ENSURE(peer < peers_.size() && !peers_[peer].alive(),
                "duplicate connection");
     peers_[peer].adopt(std::move(fd));
+    open_channels_.fetch_add(1, std::memory_order_relaxed);
   }
   void apply_kernel_buffers(int fd) const {
     if (limits_.kernel_buffer_bytes > 0) {
@@ -279,39 +299,62 @@ class SocketNetwork::Node final : public NetworkContext {
     out.peak_outbuf_bytes = std::max(
         out.peak_outbuf_bytes, peak_outbuf_.load(std::memory_order_relaxed));
     if (parked()) ++out.parked_now;
+    out.oversized_frames += oversized_frames_.load(std::memory_order_relaxed);
+    out.malformed_frames += malformed_frames_.load(std::memory_order_relaxed);
+    out.open_channels += open_channels_.load(std::memory_order_relaxed);
+  }
+
+  /// Fold this process's wire tallies into `out` (any thread).
+  void merge_stats(MessageStats& out) const {
+    const std::scoped_lock lock(stats_mu_);
+    out.merge(stats_);
+  }
+  /// Record the local-memory gauge (main thread, before start() or after
+  /// stop() joins the loops).
+  void record_local_memory() {
+    const std::scoped_lock lock(stats_mu_);
+    stats_.record_local_memory(proc_->local_memory_bytes());
   }
 
   // ---- command handlers (owning loop thread) ------------------------------------
 
-  /// A client operation reaching its owning loop thread. Admission is a
-  /// FIFO: the op starts from pump_ops() once the process is idle and no
+  /// A client operation reaching its owning loop thread, from the command
+  /// queue or in place (issued on this thread). Admission is a FIFO: the
+  /// op starts — or, on a crashed process, fails — from pump_ops(), never
+  /// here, so admitting is safe from inside a protocol handler or a
+  /// completion callback. The op starts once the process is idle and no
   /// outbound channel is parked — this is where backpressure becomes a
   /// deterministic stall of the RegisterClient submission chain instead
   /// of an unbounded buffer.
   void admit(OpState& st) {
-    if (crashed_) {
-      st.owner->complete_failed(st, kCrashedStatus);
-      return;
-    }
     if (park_active_) {
       deferred_admissions_.fetch_add(1, std::memory_order_relaxed);
     }
     queued_ops_.push_back(&st);
+    loop_->note_admission();
   }
 
-  /// Start queued ops while the process is idle and unparked. Called at
-  /// the top level of the loop iteration only — never from inside a
-  /// protocol handler, so an op's first sends can't reenter the process
-  /// mid-message.
+  /// Start queued ops while the process is idle and unparked; on a crashed
+  /// process, fail them with kCrashed in arrival order. Called at the top
+  /// level of the loop iteration only — never from inside a protocol
+  /// handler, so an op's first sends can't reenter the process
+  /// mid-message. Only ops queued on entry are taken: one that a
+  /// completion callback admits meanwhile waits for the next pass, so a
+  /// callback that resubmits on every outcome cannot pin the loop here.
   void pump_ops() {
-    while (!crashed_ && !park_active_ && pending_op_ == nullptr &&
-           queued_head_ < queued_ops_.size()) {
-      OpState* st = queued_ops_[queued_head_++];
-      if (queued_head_ == queued_ops_.size()) {
-        queued_ops_.clear();  // capacity retained
-        queued_head_ = 0;
+    const std::size_t end = queued_ops_.size();
+    while (queued_head_ < end && (crashed_ || (!park_active_ &&
+                                               pending_op_ == nullptr))) {
+      OpState& st = *queued_ops_[queued_head_++];
+      if (crashed_) {
+        st.owner->complete_failed(st, kCrashedStatus);
+      } else {
+        start_op(st);
       }
-      start_op(*st);
+    }
+    if (queued_head_ == queued_ops_.size()) {
+      queued_ops_.clear();  // capacity retained
+      queued_head_ = 0;
     }
   }
 
@@ -323,17 +366,12 @@ class SocketNetwork::Node final : public NetworkContext {
     // The model lets a faulty process's last operation evaporate (§2.2);
     // its client must still learn the outcome — fail it now, the algorithm
     // will never complete it. Queued-but-unstarted admissions fail in
-    // arrival order behind it.
+    // arrival order behind it, at this iteration's pump_ops().
     if (pending_op_ != nullptr) {
       OpState& op = *pending_op_;
       pending_op_ = nullptr;
       op.owner->complete_failed(op, kCrashedStatus);
     }
-    for (std::size_t k = queued_head_; k < queued_ops_.size(); ++k) {
-      queued_ops_[k]->owner->complete_failed(*queued_ops_[k], kCrashedStatus);
-    }
-    queued_ops_.clear();
-    queued_head_ = 0;
     // A crash kills the endpoint: sockets close, peers see dead channels.
     for (ProcessId p = 0; p < peers_.size(); ++p) {
       if (p != pid_) teardown_conn(p);
@@ -352,6 +390,7 @@ class SocketNetwork::Node final : public NetworkContext {
     // connection (unsent, unread, or half-framed) dies here.
     teardown_conn(p);
     peers_[p].adopt(std::move(fd));
+    open_channels_.fetch_add(1, std::memory_order_relaxed);
     update_interest(p);
     recompute_park();
   }
@@ -415,16 +454,18 @@ class SocketNetwork::Node final : public NetworkContext {
 
   /// Loop exit: every accepted-but-unresolved operation completes with
   /// kShutdown — the in-protocol one first, then the admitted-but-queued
-  /// ones in arrival order.
+  /// ones in arrival order (kCrashed on a crashed process, as its
+  /// pump_ops() would have). The loop no longer counts as this thread's,
+  /// so callbacks resubmitting from here go to the command queue.
   void fail_all_pending() {
     if (pending_op_ != nullptr) {
       OpState& op = *pending_op_;
       pending_op_ = nullptr;
       op.owner->complete_failed(op, kShutdownStatus);
     }
+    const Status& status = crashed_ ? kCrashedStatus : kShutdownStatus;
     for (std::size_t k = queued_head_; k < queued_ops_.size(); ++k) {
-      queued_ops_[k]->owner->complete_failed(*queued_ops_[k],
-                                             kShutdownStatus);
+      queued_ops_[k]->owner->complete_failed(*queued_ops_[k], status);
     }
     queued_ops_.clear();
     queued_head_ = 0;
@@ -466,9 +507,35 @@ class SocketNetwork::Node final : public NetworkContext {
     while (!crashed_ && conn.alive() && conn.next_frame(frame)) {
       // decode_into the loop's scratch Message: large payloads reuse its
       // value buffer instead of materializing a fresh string per frame.
-      proc_->codec().decode_into(frame, inbound_);
+      if (!decode(frame)) {
+        malformed_frames_.fetch_add(1, std::memory_order_relaxed);
+        reject_channel(p);
+        return;
+      }
       proc_->on_message(*this, p, inbound_);
     }
+    if (conn.alive() && conn.inbound_overlong()) {
+      oversized_frames_.fetch_add(1, std::memory_order_relaxed);
+      reject_channel(p);
+    }
+  }
+
+  /// Peer bytes are untrusted: a frame the codec rejects (it throws
+  /// ContractViolation) must cost its channel, not the loop thread.
+  bool decode(std::string_view frame) {
+    try {
+      proc_->codec().decode_into(frame, inbound_);
+      return true;
+    } catch (const ContractViolation&) {
+      return false;
+    }
+  }
+
+  /// Close one channel whose peer sent an unusable frame; the process and
+  /// its other channels carry on (to them the peer looks crashed).
+  void reject_channel(ProcessId p) {
+    teardown_conn(p);
+    recompute_park();
   }
 
   void teardown_conn(ProcessId p) {
@@ -476,6 +543,7 @@ class SocketNetwork::Node final : public NetworkContext {
     if (!conn.alive()) return;
     loop_->clear_interest(watch_ids_[p]);
     conn.close();
+    open_channels_.fetch_sub(1, std::memory_order_relaxed);
   }
 
   void update_interest(ProcessId p) {
@@ -536,6 +604,14 @@ class SocketNetwork::Node final : public NetworkContext {
   std::atomic<std::uint64_t> resume_events_{0};
   std::atomic<std::uint64_t> deferred_admissions_{0};
   std::atomic<std::uint64_t> peak_outbuf_{0};
+  std::atomic<std::uint64_t> oversized_frames_{0};
+  std::atomic<std::uint64_t> malformed_frames_{0};
+  std::atomic<std::uint32_t> open_channels_{0};
+
+  /// This process's wire tallies: written by its loop thread on every
+  /// send, read by stats_snapshot(). No other loop touches this lock.
+  mutable std::mutex stats_mu_;
+  MessageStats stats_;
 };
 
 // ---- Loop methods needing the complete Node type -------------------------------
@@ -605,9 +681,13 @@ void SocketNetwork::Loop::fail_queued_commands() {
 }
 
 void SocketNetwork::Loop::run(std::stop_token st) {
+  current_ = this;
   for (Node* node : nodes_) node->on_loop_start();
+  bool rerun = false;
   while (!st.stop_requested()) {
-    const auto events = epoll_.wait(wait_timeout_ms());
+    // Ops admitted during the last pump pass wait in a FIFO no pipe byte
+    // announces: poll instead of blocking.
+    const auto events = epoll_.wait(rerun ? 0 : wait_timeout_ms());
     fire_due_timers();
     for (const epoll_event& ev : events) {
       const std::uint64_t tag = ev.data.u64;
@@ -623,20 +703,24 @@ void SocketNetwork::Loop::run(std::stop_token st) {
     // Top-of-loop op admission: start queued client ops only here, never
     // from inside a protocol handler (sequential-process guarantee), and
     // only after backpressure state has settled for this batch.
+    admitted_ = false;
     for (Node* node : nodes_) node->pump_ops();
+    rerun = admitted_;
   }
   // Loop exit: fail everything accepted, then everything still queued;
   // later submissions bounce at submit().
+  current_ = nullptr;
   for (Node* node : nodes_) node->fail_all_pending();
   fail_queued_commands();
 }
 
 // ---- ClientImpl: the unified client API over this runtime -------------------
 //
-// Issue = submit a Command carrying the OpState pointer to the owning
-// node's loop thread (which resolves it with a uniform Status); park =
+// Issue = admit the OpState on the owning node's loop thread, which
+// resolves it with a uniform Status: in place when the caller already is
+// that thread, else as a Command through its queue and wake pipe. Park =
 // block on the client pool's condition variable. Completion is guaranteed:
-// the loop's crash and shutdown paths fail every accepted command.
+// the loop's crash and shutdown paths fail every accepted op.
 
 class SocketNetwork::ClientImpl final : public RegisterClientEngine {
  public:
@@ -653,6 +737,10 @@ class SocketNetwork::ClientImpl final : public RegisterClientEngine {
   void client_issue(OpState& st) override {
     TBR_ENSURE(net_.started_, "start() the network first");
     Node* node = net_.nodes_[st.node].get();
+    if (node->loop().on_this_thread()) {
+      node->admit(st);
+      return;
+    }
     Loop::Command cmd;
     cmd.node = node;
     cmd.op = &st;
@@ -766,13 +854,8 @@ void SocketNetwork::stop() {
   for (auto& loop : loops_) loop->wake();
   threads_.clear();  // jthread joins on destruction
   // Loop threads are joined: process state is safe to read. Record the
-  // final local-memory gauge next to the wire tallies.
-  std::uint64_t peak = 0;
-  for (auto& node : nodes_) {
-    peak = std::max(peak, node->process_unlocked().local_memory_bytes());
-  }
-  const std::scoped_lock lock(stats_mu_);
-  stats_.record_local_memory(peak);
+  // final local-memory gauge next to each process's wire tallies.
+  for (auto& node : nodes_) node->record_local_memory();
 }
 
 void SocketNetwork::crash(ProcessId pid) {
@@ -855,19 +938,9 @@ void SocketNetwork::set_read_paused(ProcessId pid, bool paused) {
 }
 
 MessageStats SocketNetwork::stats_snapshot() const {
-  const std::scoped_lock lock(stats_mu_);
-  return stats_;
-}
-
-void SocketNetwork::record_send(std::uint8_t type,
-                                const WireAccounting& wire) {
-  const std::scoped_lock lock(stats_mu_);
-  stats_.record_send(type, wire);
-}
-
-void SocketNetwork::record_drop(std::uint8_t type) {
-  const std::scoped_lock lock(stats_mu_);
-  stats_.record_drop(type);
+  MessageStats out;
+  for (const auto& node : nodes_) node->merge_stats(out);
+  return out;
 }
 
 }  // namespace tbr

@@ -37,16 +37,22 @@
 //
 // Client API: client() exposes the same unified RegisterClient as every
 // other engine (pooled Ticket/callback completions, uniform Status — see
-// src/client/client.hpp): issue enqueues a command to the owning loop
-// thread, park blocks on the client pool's condition variable, and the
-// loop thread resolves the op (kCrashed after a crash marker, kShutdown
-// once the network stops). Inbound bytes ride a consumed-offset ring
+// src/client/client.hpp). An op issued on the loop thread that owns its
+// process (a completion callback chaining the next op) is admitted in
+// place; any other thread enqueues a command and wakes the owning loop.
+// Park blocks on the client pool's condition variable, and the loop
+// thread resolves the op (kCrashed after a crash marker, kShutdown once
+// the network stops). Inbound bytes ride a consumed-offset ring
 // (FrameBuffer), so draining a frame is O(frame), not O(buffer); a
 // steady-state ticket round-trip stays allocation-free.
+//
+// Untrusted peers: a frame whose length prefix exceeds
+// FrameBuffer::kMaxFrameBytes, or that the codec rejects, closes that one
+// channel and is counted in BackpressureStats; the process and its other
+// channels carry on.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -91,6 +97,14 @@ class SocketNetwork {
     std::uint64_t deferred_ops = 0;   ///< ops admitted while parked (stalled)
     std::uint64_t peak_outbuf_bytes = 0;  ///< max queued bytes on any channel
     std::uint32_t parked_now = 0;     ///< processes currently parked
+    /// Channels closed because the peer announced a frame above
+    /// FrameBuffer::kMaxFrameBytes.
+    std::uint64_t oversized_frames = 0;
+    /// Channels closed because the codec rejected a frame.
+    std::uint64_t malformed_frames = 0;
+    /// Live channel endpoints now (a full n-mesh has n(n-1); a closed
+    /// channel removes both of its ends).
+    std::uint32_t open_channels = 0;
   };
 
   explicit SocketNetwork(Options options);
@@ -131,6 +145,8 @@ class SocketNetwork {
   /// Kernel buffers fill, writers toward pid hit their watermarks.
   void set_read_paused(ProcessId pid, bool paused);
 
+  /// Wire tallies merged over every process (each counts its own sends
+  /// under a process-local lock). Safe from any thread.
   MessageStats stats_snapshot() const;
   const GroupConfig& config() const noexcept { return cfg_; }
   Tick now() const;  ///< ns since network construction
@@ -145,11 +161,6 @@ class SocketNetwork {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Loop>> loops_;
   std::unique_ptr<ClientImpl> client_impl_;  // engine + RegisterClient
-
-  mutable std::mutex stats_mu_;
-  MessageStats stats_;
-  void record_send(std::uint8_t type, const WireAccounting& wire);
-  void record_drop(std::uint8_t type);
 
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::jthread> threads_;

@@ -124,7 +124,7 @@ void set_rcvbuf(int fd, int bytes) {
 }
 
 IoResult read_some(int fd, std::string& buffer, std::size_t cap) {
-  char chunk[16 * 1024];
+  char chunk[kReadChunkBytes];
   const std::size_t want = std::min(cap, sizeof(chunk));
   for (;;) {
     const ssize_t got = ::read(fd, chunk, want);

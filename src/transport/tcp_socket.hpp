@@ -75,7 +75,11 @@ void set_nodelay(int fd);
 void set_sndbuf(int fd, int bytes);
 void set_rcvbuf(int fd, int bytes);
 
-/// Non-blocking read of up to `cap` bytes appended onto `buffer`.
+/// Most bytes one read_some call takes from the kernel (its stack chunk).
+inline constexpr std::size_t kReadChunkBytes = 16 * 1024;
+
+/// Non-blocking read of up to min(`cap`, kReadChunkBytes) bytes appended
+/// onto `buffer`.
 IoResult read_some(int fd, std::string& buffer, std::size_t cap);
 
 /// Non-blocking write of as much of [data, data+len) as the kernel takes.

@@ -1,8 +1,11 @@
 // Backpressure: the watermark state machine on one Connection, and the
 // whole-runtime behaviour — a slow reader parks writers at high water,
 // EPOLLOUT-driven drains resume them at low water, and nothing queued is
-// ever lost or reordered across the transition.
+// ever lost or reordered across the transition. Also the Connection's
+// read rounds: the budget, the stop at the first short read, and the
+// length cap on inbound frames.
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <atomic>
 #include <chrono>
@@ -158,6 +161,118 @@ TEST(ConnectionTest, ReadBudgetBoundsOneReadRound) {
   EXPECT_EQ(conn.read_budgeted(), IoStatus::kOk);
   EXPECT_LE(conn.inbuf_pending(), 2 * limits.read_budget);
   EXPECT_GT(conn.inbuf_pending(), limits.read_budget);
+}
+
+/// Drain `conn` the way its event loop does: wait for readability
+/// (level-triggered, like the loops' epoll), run one budgeted read round,
+/// peel every complete frame. Stops once `expect` frames arrived.
+std::vector<std::string> drain_rounds(Connection& conn, std::size_t expect,
+                                      std::vector<std::string> got = {}) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  std::string_view frame;
+  while (got.size() < expect && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{conn.fd(), POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    EXPECT_EQ(conn.read_budgeted(), IoStatus::kOk);
+    while (conn.next_frame(frame)) got.emplace_back(frame);
+  }
+  return got;
+}
+
+TEST(ConnectionTest, ShortReadRuleStrandsNoFrame) {
+  // A read round ends at the first short read. Backlogs above one read
+  // chunk (16 KiB) and of exactly one chunk — where the chunk-sized read
+  // is full and only the next read would see EAGAIN — must both drain
+  // completely, with the default budget and with a budget of one chunk.
+  ASSERT_EQ(tcp::kReadChunkBytes, 16u * 1024u);
+  struct Case {
+    std::size_t frames;
+    std::size_t payload;
+    std::size_t budget;
+  };
+  // 40 x (4 + 1024) = 41120 bytes; 16 x (4 + 1020) = 16384 bytes exactly.
+  for (const Case c : {Case{40, 1024, 256 * 1024}, Case{16, 1020, 256 * 1024},
+                       Case{40, 1024, 16 * 1024}, Case{16, 1020, 16 * 1024}}) {
+    auto [writer_fd, reader_fd] = tcp::make_loopback_pair();
+    tcp::set_nonblocking(reader_fd.get());
+    std::string wire;
+    std::vector<std::string> sent;
+    for (std::uint32_t k = 0; k < c.frames; ++k) {
+      sent.push_back(frame_payload(k, c.payload));
+      FrameBuffer::append_frame(wire, sent.back());
+    }
+    if (c.frames == 16) {
+      ASSERT_EQ(wire.size(), tcp::kReadChunkBytes);
+    }
+    tcp::write_all_blocking(writer_fd.get(), wire.data(), wire.size());
+
+    ConnLimits limits;
+    limits.read_budget = c.budget;
+    Connection conn;
+    conn.configure(limits);
+    conn.adopt(std::move(reader_fd));
+    const auto got = drain_rounds(conn, sent.size());
+    EXPECT_EQ(got, sent) << c.frames << " frames, budget " << c.budget;
+    EXPECT_EQ(conn.inbuf_pending(), 0u);
+  }
+}
+
+TEST(ConnectionTest, BytesArrivingAfterAShortReadAreReportedAgain) {
+  // The short read that ended a round does not lose interest in the fd:
+  // a later burst makes it readable again and the next round takes it.
+  auto [writer_fd, reader_fd] = tcp::make_loopback_pair();
+  tcp::set_nonblocking(reader_fd.get());
+  Connection conn;
+  conn.configure(ConnLimits{});
+  conn.adopt(std::move(reader_fd));
+  std::vector<std::string> sent;
+  std::string wire;
+  for (std::uint32_t k = 0; k < 10; ++k) {
+    sent.push_back(frame_payload(k, 700));
+    FrameBuffer::append_frame(wire, sent.back());
+  }
+  tcp::write_all_blocking(writer_fd.get(), wire.data(), wire.size());
+  auto got = drain_rounds(conn, 10);
+  ASSERT_EQ(got.size(), 10u);
+  wire.clear();
+  for (std::uint32_t k = 10; k < 20; ++k) {
+    sent.push_back(frame_payload(k, 3000));
+    FrameBuffer::append_frame(wire, sent.back());
+  }
+  tcp::write_all_blocking(writer_fd.get(), wire.data(), wire.size());
+  got = drain_rounds(conn, 20, std::move(got));
+  EXPECT_EQ(got, sent);
+}
+
+TEST(ConnectionTest, OverlongLengthPrefixStopsTheStream) {
+  // A prefix above FrameBuffer::kMaxFrameBytes: the frames before it are
+  // delivered, then the connection reports the stream unusable instead of
+  // buffering toward the announced size.
+  auto [writer_fd, reader_fd] = tcp::make_loopback_pair();
+  tcp::set_nonblocking(reader_fd.get());
+  std::string wire;
+  FrameBuffer::append_frame(wire, "good");
+  const auto len = static_cast<std::uint32_t>(FrameBuffer::kMaxFrameBytes + 1);
+  for (int i = 0; i < 4; ++i) {
+    wire.push_back(static_cast<char>((len >> (8 * i)) & 0xFF));
+  }
+  wire.append(4096, 'j');
+  tcp::write_all_blocking(writer_fd.get(), wire.data(), wire.size());
+
+  Connection conn;
+  conn.configure(ConnLimits{});
+  conn.adopt(std::move(reader_fd));
+  const auto got = drain_rounds(conn, 1);
+  ASSERT_EQ(got, std::vector<std::string>{"good"});
+  EXPECT_TRUE(eventually([&] {
+    (void)conn.read_budgeted();
+    std::string_view frame;
+    EXPECT_FALSE(conn.next_frame(frame));
+    return conn.inbound_overlong();
+  }));
+  EXPECT_LE(conn.inbuf_pending(), wire.size());
+  conn.close();
+  EXPECT_FALSE(conn.inbound_overlong()) << "close() resets the stream";
 }
 
 TEST(ConnectionTest, TeardownOnPeerCloseReportsClosed) {

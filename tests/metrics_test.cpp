@@ -67,6 +67,32 @@ TEST(MessageStatsTest, DiffRequiresEarlierSnapshot) {
   EXPECT_THROW((void)a.diff_since(b), ContractViolation);
 }
 
+TEST(MessageStatsTest, MergeAddsCountersAndMaxesPeaks) {
+  MessageStats a, b;
+  a.record_send(0, {2, 10});
+  a.record_drop(0);
+  a.record_local_memory(300);
+  b.record_send(0, {2, 0});
+  b.record_send(5, {7, 4});
+  b.record_local_memory(500);
+  b.record_local_memory(200);
+  a.merge(b);
+  EXPECT_EQ(a.total_sent(), 3u);
+  EXPECT_EQ(a.sent_of_type(0), 2u);
+  EXPECT_EQ(a.sent_of_type(5), 1u);
+  EXPECT_EQ(a.total_dropped(), 1u);
+  EXPECT_EQ(a.total_control_bits(), 11u);
+  EXPECT_EQ(a.total_data_bits(), 14u);
+  EXPECT_EQ(a.max_control_bits_per_msg(), 7u);
+  EXPECT_EQ(a.local_memory_peak(), 500u);
+  EXPECT_EQ(a.local_memory_last(), 300u);
+  // Merging an empty tally changes nothing.
+  const MessageStats before = a;
+  a.merge(MessageStats{});
+  EXPECT_EQ(a.total_sent(), before.total_sent());
+  EXPECT_EQ(a.max_control_bits_per_msg(), before.max_control_bits_per_msg());
+}
+
 TEST(MessageStatsTest, TypeIdRangeChecked) {
   MessageStats s;
   EXPECT_THROW(s.record_send(16, {1, 0}), ContractViolation);

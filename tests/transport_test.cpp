@@ -1,17 +1,25 @@
 // Socket runtime (src/transport): the register over real loopback TCP —
 // basic semantics via the unified client, all four algorithms on the
-// wire, crash behaviour, the inbound frame ring, concurrent-history
-// atomicity, and composition with the reliable-link decorator (timers on
-// a real event loop).
+// wire, crash behaviour, same-loop inline admission from completion
+// callbacks, per-process wire stats, untrusted-frame handling, the inbound
+// frame ring, concurrent-history atomicity, and composition with the
+// reliable-link decorator (timers on a real event loop).
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
+#include <deque>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "core/twobit_process.hpp"
 #include "link/reliable_link.hpp"
+#include "net/codec.hpp"
 #include "transport/frame_buffer.hpp"
 #include "transport/socket_workload.hpp"
 
@@ -33,6 +41,16 @@ SocketNetwork::Options net_options(Algorithm algo, std::uint32_t n,
   opt.cfg = make_cfg(n, t);
   opt.algo = algo;
   return opt;
+}
+
+bool eventually(const std::function<bool()>& pred,
+                std::chrono::milliseconds budget = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
 }
 
 TEST(SocketNetworkTest, WriteThenReadEverywhere) {
@@ -252,7 +270,496 @@ TEST(SocketNetworkTest, LinkDecoratorComposesOverTcp) {
   net.stop();
 }
 
+// ---- same-loop inline admission ---------------------------------------------------
+
+/// A token ring over the unified client, driven only by completion
+/// callbacks: `tokens` ops circulate, and each completion at process p
+/// issues that token's next op at process (p + 1) % n — a write at the
+/// writer, a read elsewhere. Completions run on p's loop thread and issue
+/// onto the next process's loop: the same loop when loops = 1 (inline
+/// admission even across processes), a mix of inline and queued issues
+/// otherwise. Tokens meet at processes, so the client chains pipeline
+/// them. A failed op moves its token on too (a retry at the next
+/// process, issued from the failure callback — with loops = 1 onto the
+/// same loop, during its failure or shutdown drain). A token retires after
+/// `hops` completed ops or its (`retries` + 1)-th failure.
+///
+/// Every op is checked to complete in its process's issue order, and
+/// completed ops are logged for SwmrChecker: an op's interval starts when
+/// the op before it at the same process resolved (it cannot start
+/// earlier), so the history stays per-process sequential. Failed reads
+/// constrain nothing and are left out.
+class CallbackRing {
+ public:
+  CallbackRing(SocketNetwork& net, std::uint32_t tokens, std::uint32_t hops,
+               std::uint32_t retries = 0)
+      : net_(net), procs_(net.config().n), tokens_(tokens), hops_(hops),
+        retries_(retries) {}
+
+  void start() {
+    active_.store(tokens_);
+    for (std::uint32_t k = 0; k < tokens_; ++k) {
+      issue(static_cast<ProcessId>(k % procs_.size()), 0, 0);
+    }
+  }
+  bool idle() const { return active_.load() == 0; }
+  bool wait_idle() {
+    return eventually([this] { return idle(); });
+  }
+
+  struct Tally {
+    std::uint64_t issued = 0, resolved = 0, fifo_violations = 0;
+    std::uint64_t ok = 0, crashed = 0, shutdown = 0, other = 0;
+  };
+  Tally tally() const {
+    const std::scoped_lock lock(mu_);
+    return tally_;
+  }
+  std::vector<OpRecord> history() const {
+    const std::scoped_lock lock(mu_);
+    return history_;
+  }
+
+ private:
+  struct Pending {
+    std::uint64_t seq = 0;
+    bool write = false;
+    SeqNo index = 0;
+    Stamp start;
+  };
+  struct Proc {
+    std::uint64_t issued = 0;
+    std::deque<Pending> queue;  ///< issued, unresolved, in issue order
+  };
+
+  // The lock is recursive: an issue refused synchronously (network
+  // stopped) runs its callback inside issue().
+  void issue(ProcessId p, std::uint32_t hop, std::uint32_t tries) {
+    const std::scoped_lock lock(mu_);
+    Proc& pr = procs_[p];
+    Pending op;
+    op.seq = pr.issued++;
+    op.write = p == net_.config().writer;
+    if (op.write) op.index = ++writes_;
+    pr.queue.push_back(op);
+    if (pr.queue.size() == 1) pr.queue.front().start = stamp();
+    ++tally_.issued;
+    auto cb = [this, p, hop, tries, seq = op.seq](const OpResult& r) {
+      done(p, hop, tries, seq, r);
+    };
+    if (op.write) {
+      net_.client().write(Value::from_int64(op.index), std::move(cb));
+    } else {
+      net_.client().read(p, std::move(cb));
+    }
+  }
+
+  void done(ProcessId p, std::uint32_t hop, std::uint32_t tries,
+            std::uint64_t seq, const OpResult& r) {
+    {
+      const std::scoped_lock lock(mu_);
+      ++tally_.resolved;
+      switch (r.status.code()) {
+        case StatusCode::kOk: ++tally_.ok; break;
+        case StatusCode::kCrashed: ++tally_.crashed; break;
+        case StatusCode::kShutdown: ++tally_.shutdown; break;
+        default: ++tally_.other; break;
+      }
+      Proc& pr = procs_[p];
+      if (pr.queue.empty() || pr.queue.front().seq != seq) {
+        ++tally_.fifo_violations;
+      } else {
+        record(p, pr.queue.front(), r);
+        pr.queue.pop_front();
+        if (!pr.queue.empty()) pr.queue.front().start = stamp();
+      }
+    }
+    const auto next = static_cast<ProcessId>((p + 1) % procs_.size());
+    if (r.status.ok() && hop + 1 < hops_) {
+      issue(next, hop + 1, tries);
+    } else if (!r.status.ok() && tries < retries_) {
+      issue(next, hop, tries + 1);
+    } else {
+      active_.fetch_sub(1);
+    }
+  }
+
+  void record(ProcessId p, const Pending& op, const OpResult& r) {
+    if (!r.status.ok() && !op.write) return;
+    OpRecord rec;
+    rec.kind = op.write ? OpRecord::Kind::kWrite : OpRecord::Kind::kRead;
+    rec.proc = p;
+    rec.start = op.start;
+    rec.completed = r.status.ok();
+    if (rec.completed) rec.end = stamp();
+    rec.index = op.write ? op.index : r.version;
+    rec.value = op.write ? Value::from_int64(op.index) : r.value;
+    history_.push_back(std::move(rec));
+  }
+
+  Stamp stamp() { return Stamp{net_.now(), ++order_}; }
+
+  SocketNetwork& net_;
+  mutable std::recursive_mutex mu_;
+  std::vector<Proc> procs_;
+  std::vector<OpRecord> history_;
+  Tally tally_;
+  SeqNo writes_ = 0;
+  std::uint64_t order_ = 0;
+  const std::uint32_t tokens_;
+  const std::uint32_t hops_;
+  const std::uint32_t retries_;
+  std::atomic<std::uint32_t> active_{0};
+};
+
+/// Parameter: Options::loops. 1 puts every process on one loop, so every
+/// callback-issued op (cross-process ones included) is admitted inline;
+/// 0 (auto) gives each process of the n = 3 group its own loop on a
+/// multi-core host.
+class InlineAdmissionTest : public testing::TestWithParam<std::uint32_t> {
+ protected:
+  static SocketNetwork::Options options() {
+    auto opt = net_options(Algorithm::kTwoBit, 3, 1);
+    opt.loops = GetParam();
+    return opt;
+  }
+};
+
+TEST_P(InlineAdmissionTest, CallbackRingKeepsPerProcessFifoAndAtomicity) {
+  SocketNetwork net(options());
+  net.start();
+  CallbackRing ring(net, /*tokens=*/6, /*hops=*/60);
+  ring.start();
+  ASSERT_TRUE(ring.wait_idle());
+  net.stop();
+  const auto t = ring.tally();
+  EXPECT_EQ(t.fifo_violations, 0u);
+  EXPECT_EQ(t.ok, 6u * 60u);
+  EXPECT_EQ(t.resolved, t.issued);
+  const auto check = SwmrChecker::check(ring.history(), Value::from_int64(0));
+  EXPECT_TRUE(check.ok) << check.error;
+}
+
+TEST_P(InlineAdmissionTest, SpanSubmittedFromCallbackPipelinesInOrder) {
+  // submit(span) from a completion callback: the writer's loop thread
+  // issues a window of writes (inline: same process) and reads at p1/p2
+  // (inline too when loops = 1). The chains pipeline them per process.
+  SocketNetwork net(options());
+  net.start();
+  constexpr int kRounds = 8;
+  std::vector<Ticket> tickets(3 * kRounds);
+  std::atomic<bool> submitted{false};
+  net.client().write(Value::from_int64(1), [&](const OpResult& r) {
+    ASSERT_TRUE(r.status.ok());
+    std::vector<RegisterOp> ops(3 * kRounds);
+    for (int k = 0; k < kRounds; ++k) {
+      ops[3 * k].kind = OpKind::kWrite;
+      ops[3 * k].value = Value::from_int64(k + 2);
+      ops[3 * k + 1].kind = OpKind::kRead;
+      ops[3 * k + 1].reader = 1;
+      ops[3 * k + 2].kind = OpKind::kRead;
+      ops[3 * k + 2].reader = 2;
+    }
+    net.client().submit(ops, tickets.data());
+    submitted.store(true);
+  });
+  ASSERT_TRUE(eventually([&] { return submitted.load(); }));
+  std::array<SeqNo, 3> last_version{0, 0, 0};
+  for (int k = 0; k < 3 * kRounds; ++k) {
+    const OpResult r = net.client().wait(tickets[k]);
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    if (k % 3 == 0) continue;
+    // A process's reads run in submission order, so what one replica
+    // returns never goes back in history.
+    EXPECT_GE(r.version, last_version[k % 3]) << "op " << k;
+    EXPECT_LE(r.version, kRounds + 1);
+    EXPECT_EQ(r.value.to_int64(), r.version) << "op " << k;
+    last_version[k % 3] = r.version;
+  }
+  const OpResult after = net.client().read_sync(1);
+  EXPECT_EQ(after.version, kRounds + 1);
+  EXPECT_EQ(after.value.to_int64(), kRounds + 1);
+  net.stop();
+}
+
+TEST_P(InlineAdmissionTest, CrashMidChainResolvesEveryOpOkOrCrashed) {
+  // Tokens keep circulating into p2 after it crashes: the ops p1's
+  // callbacks issue there (inline when loops = 1) must fail with kCrashed,
+  // in order, while p0 and p1 keep completing theirs. Each failure issues
+  // the token's next op from p2's loop thread while that loop fails its
+  // queue — with loops = 1 that op is admitted to p0 mid-drain and must
+  // still start even once no other traffic is left to wake the loop.
+  SocketNetwork net(options());
+  net.start();
+  CallbackRing ring(net, /*tokens=*/6, /*hops=*/1'000'000, /*retries=*/3);
+  ring.start();
+  ASSERT_TRUE(eventually([&] { return ring.tally().ok >= 150; }));
+  net.crash(2);
+  ASSERT_TRUE(ring.wait_idle()) << "every token must retire at p2";
+  const auto t = ring.tally();
+  EXPECT_EQ(t.fifo_violations, 0u);
+  EXPECT_EQ(t.resolved, t.issued);
+  EXPECT_EQ(t.ok + t.crashed, t.resolved);
+  EXPECT_GE(t.crashed, 4u);
+  const auto check = SwmrChecker::check(ring.history(), Value::from_int64(0));
+  EXPECT_TRUE(check.ok) << check.error;
+  // The survivors still serve the register.
+  ASSERT_TRUE(net.client().write_sync(Value::from_int64(-1)).status.ok());
+  EXPECT_EQ(net.client().read_sync(1).value.to_int64(), -1);
+  net.stop();
+}
+
+TEST_P(InlineAdmissionTest, StopMidChainResolvesEveryOpOkOrShutdown) {
+  // Failed ops are retried at the next process from the callbacks the
+  // shutdown drain runs: with loops = 1 that process may already be
+  // drained, so the retry must be refused with kShutdown, never stranded
+  // in its admission queue.
+  SocketNetwork net(options());
+  net.start();
+  CallbackRing ring(net, /*tokens=*/6, /*hops=*/1'000'000, /*retries=*/2);
+  ring.start();
+  ASSERT_TRUE(eventually([&] { return ring.tally().ok >= 150; }));
+  net.stop();  // joins the loops: every accepted op has resolved
+  EXPECT_TRUE(ring.idle());
+  const auto t = ring.tally();
+  EXPECT_EQ(t.fifo_violations, 0u);
+  EXPECT_EQ(t.resolved, t.issued);
+  EXPECT_EQ(t.ok + t.shutdown, t.resolved);
+  EXPECT_GE(t.shutdown, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Loops, InlineAdmissionTest, testing::Values(1u, 0u),
+    [](const testing::TestParamInfo<std::uint32_t>& info) {
+      return info.param == 0 ? std::string("auto_loops")
+                             : "loops" + std::to_string(info.param);
+    });
+
+// ---- per-process wire stats ------------------------------------------------------
+
+TEST(SocketStatsTest, SnapshotDuringTrafficAndTotalsAfterStop) {
+  // Each process tallies its own sends; stats_snapshot() merges them from
+  // another thread while the loops keep sending (the tsan job runs this).
+  SocketNetwork net(net_options(Algorithm::kTwoBit, 3, 1));
+  net.start();
+  CallbackRing ring(net, /*tokens=*/6, /*hops=*/150);
+  ring.start();
+  std::uint64_t last = 0;
+  while (!ring.idle()) {
+    const MessageStats s = net.stats_snapshot();
+    EXPECT_GE(s.total_sent(), last) << "merged counters are monotone";
+    EXPECT_LE(s.max_control_bits_per_msg(), 2u);
+    last = s.total_sent();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_TRUE(ring.wait_idle());
+  net.stop();
+  const MessageStats s = net.stats_snapshot();
+  std::uint64_t by_type = 0;
+  for (std::uint8_t type = 0; type < MessageStats::kMaxTypes; ++type) {
+    by_type += s.sent_of_type(type);
+  }
+  EXPECT_EQ(by_type, s.total_sent());
+  EXPECT_GE(s.total_sent(), last);
+  EXPECT_GT(s.total_sent(), 0u);
+  EXPECT_EQ(s.total_dropped(), 0u);
+  EXPECT_EQ(s.max_control_bits_per_msg(), 2u);
+  EXPECT_GT(s.local_memory_peak(), 0u);
+}
+
+// ---- untrusted peer frames ---------------------------------------------------------
+
+/// The two ways a peer's frame can be unusable.
+enum class BadFrame {
+  kMalformed,  ///< the codec rejects the payload (ContractViolation)
+  kOverlong,   ///< the length prefix exceeds FrameBuffer::kMaxFrameBytes
+};
+
+/// Wraps a process's codec to spoil its `at`-th frame. kMalformed: the
+/// `at`-th decode throws ContractViolation, exactly as the real codecs
+/// reject corrupt input. kOverlong: the `at`-th encode is padded to one
+/// byte over the frame cap, so its receiver sees an over-length prefix.
+class FaultyCodec final : public Codec {
+ public:
+  FaultyCodec(const Codec& inner, BadFrame fault, std::uint32_t at)
+      : inner_(inner), fault_(fault), at_(at) {}
+  void encode_into(const Message& msg, std::string& out) const override {
+    inner_.encode_into(msg, out);
+    if (fault_ == BadFrame::kOverlong && ++encoded_ == at_) {
+      out.resize(FrameBuffer::kMaxFrameBytes + 1);
+    } else if (out.capacity() > 1024) {
+      out.shrink_to_fit();  // don't keep the 64 MiB scratch around
+    }
+  }
+  void decode_into(std::string_view bytes, Message& out) const override {
+    if (fault_ == BadFrame::kMalformed && ++decoded_ == at_) {
+      throw ContractViolation("test: corrupt frame");
+    }
+    inner_.decode_into(bytes, out);
+  }
+  WireAccounting account(const Message& msg) const override {
+    return inner_.account(msg);
+  }
+  std::string type_name(std::uint8_t type) const override {
+    return inner_.type_name(type);
+  }
+
+ private:
+  const Codec& inner_;
+  const BadFrame fault_;
+  const std::uint32_t at_;
+  mutable std::uint32_t encoded_ = 0;  // owning loop thread only
+  mutable std::uint32_t decoded_ = 0;
+};
+
+/// A register process that speaks through a FaultyCodec.
+class FaultyProcess final : public RegisterProcessBase {
+ public:
+  FaultyProcess(std::unique_ptr<RegisterProcessBase> inner, BadFrame fault,
+                std::uint32_t at)
+      : RegisterProcessBase(inner->config(), inner->self_id()),
+        inner_(std::move(inner)),
+        codec_(inner_->codec(), fault, at) {}
+
+  void on_start(NetworkContext& net) override { inner_->on_start(net); }
+  void on_message(NetworkContext& net, ProcessId from,
+                  const Message& msg) override {
+    inner_->on_message(net, from, msg);
+  }
+  void on_crash() override { inner_->on_crash(); }
+  void start_write(NetworkContext& net, Value v, WriteDone done) override {
+    inner_->start_write(net, std::move(v), std::move(done));
+  }
+  void start_read(NetworkContext& net, ReadDone done) override {
+    inner_->start_read(net, std::move(done));
+  }
+  std::uint64_t local_memory_bytes() const override {
+    return inner_->local_memory_bytes();
+  }
+  const Codec& codec() const override { return codec_; }
+
+ private:
+  std::unique_ptr<RegisterProcessBase> inner_;
+  FaultyCodec codec_;
+};
+
+class UntrustedFrameTest : public testing::TestWithParam<BadFrame> {};
+
+TEST_P(UntrustedFrameTest, BadFrameClosesOnlyItsChannel) {
+  // p1 spoils its 8th frame (decoded for kMalformed, sent for kOverlong).
+  // The receiving end closes that one channel (p0-p1 or p1-p2) and the
+  // other end follows on EOF; the loop threads, the processes and their
+  // other channels carry on. With n = 3, t = 1 either surviving mesh still
+  // gives every process a quorum, so all operations keep completing.
+  const BadFrame fault = GetParam();
+  constexpr std::uint32_t kN = 3;
+  SocketNetwork::Options opt = net_options(Algorithm::kTwoBit, kN, 1);
+  opt.process_factory = [fault](const GroupConfig& cfg, ProcessId pid)
+      -> std::unique_ptr<RegisterProcessBase> {
+    auto proc = make_register_process(Algorithm::kTwoBit, cfg, pid);
+    if (pid != 1) return proc;
+    return std::make_unique<FaultyProcess>(std::move(proc), fault, 8);
+  };
+  SocketNetwork net(std::move(opt));
+  net.start();
+  EXPECT_EQ(net.backpressure_snapshot().open_channels, kN * (kN - 1));
+
+  HistoryLog log;
+  std::atomic<int> failures{0};
+  auto run_clients = [&](int ops, SeqNo first_index) {
+    std::vector<std::jthread> clients;
+    for (ProcessId pid = 0; pid < kN; ++pid) {
+      clients.emplace_back([&, pid] {
+        for (int k = 0; k < ops; ++k) {
+          if (pid == 0) {
+            const SeqNo index = first_index + k;
+            const Value v = Value::from_int64(index);
+            const auto id = log.begin_write(pid, net.now(), index, v);
+            if (!net.client().write_sync(v).status.ok()) {
+              ++failures;
+              return;
+            }
+            log.end_write(id, net.now());
+          } else {
+            const auto id = log.begin_read(pid, net.now());
+            const OpResult r = net.client().read_sync(pid);
+            if (!r.status.ok()) {
+              ++failures;
+              return;
+            }
+            log.end_read(id, net.now(), r.value, r.version);
+          }
+        }
+      });
+    }
+  };
+  run_clients(40, 1);
+  ASSERT_EQ(failures.load(), 0);
+  ASSERT_TRUE(eventually([&] {
+    return net.backpressure_snapshot().open_channels == kN * (kN - 1) - 2;
+  })) << "exactly one channel (both of its ends) must close";
+  const auto bp = net.backpressure_snapshot();
+  EXPECT_EQ(bp.malformed_frames, fault == BadFrame::kMalformed ? 1u : 0u);
+  EXPECT_EQ(bp.oversized_frames, fault == BadFrame::kOverlong ? 1u : 0u);
+  // After the rejection: every process still completes operations.
+  run_clients(10, 41);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(net.backpressure_snapshot().open_channels, kN * (kN - 1) - 2);
+  EXPECT_EQ(net.backpressure_snapshot().parked_now, 0u);
+  const auto check = SwmrChecker::check(log.ops(), Value::from_int64(0));
+  EXPECT_TRUE(check.ok) << check.error;
+  for (ProcessId pid = 0; pid < kN; ++pid) {
+    EXPECT_EQ(net.client().read_sync(pid).value.to_int64(), 50);
+  }
+  net.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Faults, UntrustedFrameTest,
+    testing::Values(BadFrame::kMalformed, BadFrame::kOverlong),
+    [](const testing::TestParamInfo<BadFrame>& info) {
+      return info.param == BadFrame::kMalformed ? std::string("malformed")
+                                                : std::string("overlong");
+    });
+
 // ---- the inbound frame ring --------------------------------------------------------
+
+TEST(FrameBufferTest, LengthCapAcceptsTheLimitAndRejectsLimitPlusOne) {
+  constexpr std::size_t kMax = FrameBuffer::kMaxFrameBytes;
+  std::string_view frame;
+  {
+    // Exactly the cap: a legal frame, buffered until complete.
+    FrameBuffer buf;
+    wire::put_u32(buf.tail(), static_cast<std::uint32_t>(kMax));
+    EXPECT_FALSE(buf.next_frame(frame));
+    EXPECT_FALSE(buf.overlong());
+    buf.tail().append(kMax, 'x');
+    ASSERT_TRUE(buf.next_frame(frame));
+    EXPECT_EQ(frame.size(), kMax);
+    EXPECT_FALSE(buf.overlong());
+  }
+  {
+    // One byte over: rejected as soon as the prefix is readable, before
+    // any payload is buffered, and the stream stays stopped.
+    FrameBuffer buf;
+    FrameBuffer::append_frame(buf.tail(), "before");
+    wire::put_u32(buf.tail(), static_cast<std::uint32_t>(kMax + 1));
+    ASSERT_TRUE(buf.next_frame(frame));
+    EXPECT_EQ(frame, "before");
+    EXPECT_FALSE(buf.next_frame(frame));
+    EXPECT_TRUE(buf.overlong());
+    FrameBuffer::append_frame(buf.tail(), "after");
+    EXPECT_FALSE(buf.next_frame(frame));
+    EXPECT_TRUE(buf.overlong());
+    // clear() is the channel-reset fence: a fresh stream parses again.
+    buf.clear();
+    EXPECT_FALSE(buf.overlong());
+    FrameBuffer::append_frame(buf.tail(), "fresh");
+    ASSERT_TRUE(buf.next_frame(frame));
+    EXPECT_EQ(frame, "fresh");
+  }
+}
+
 
 TEST(FrameBufferTest, DrainsManySmallFramesFromOneBufferedRead) {
   // One large buffered read delivering hundreds of small frames — the case
