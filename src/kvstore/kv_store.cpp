@@ -192,7 +192,6 @@ KvStore::KvStore(Options options)
   SimNetwork::Options net_opt;
   net_opt.seed = options.seed;
   net_opt.loss_rate = options.loss_rate;
-  net_opt.scheduler_policy = options.scheduler_policy;
   net_opt.delay =
       options.delay ? std::move(options.delay) : make_constant_delay(1000);
   net_ = std::make_unique<SimNetwork>(std::move(processes),

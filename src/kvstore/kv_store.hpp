@@ -45,9 +45,6 @@ class KvStore {
     /// complete with `absorbed = true`). Reads always share rounds.
     bool coalesce_writes = true;
 
-    /// Event-scheduler backend (SimNetwork::Options::scheduler_policy).
-    EventQueue::Policy scheduler_policy = EventQueue::Policy::kHeap;
-
     /// OUT-OF-MODEL loss injection (see SimNetwork::Options::loss_rate).
     /// Keep 0 unless the per-slot registers ride a retransmitting link
     /// (`register_factory` wrapping in ReliableLinkProcess) — bare

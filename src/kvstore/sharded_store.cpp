@@ -174,7 +174,6 @@ ShardedKvStore::ShardedKvStore(Options options)
     SimNetwork::Options net_opt;
     net_opt.seed = opt_.seed ^ (0x5A17ULL * (s + 1));
     net_opt.service_time = opt_.service_time;
-    net_opt.scheduler_policy = opt_.scheduler_policy;
     net_opt.delay = opt_.delay_factory
                         ? opt_.delay_factory(s)
                         : make_constant_delay(opt_.delay_ticks);

@@ -6,30 +6,11 @@
 
 namespace tbr {
 
-namespace {
-
-EventQueue::Policy resolve(const EventQueue::Options& options) {
-  if (options.policy != EventQueue::Policy::kAuto) return options.policy;
-  return options.clustered_delays ? EventQueue::Policy::kCalendar
-                                  : EventQueue::Policy::kHeap;
-}
-
-}  // namespace
-
-EventQueue::EventQueue(Options options)
-    : policy_(resolve(options)),
-      heap_(Later{&heap_work_}),
-      calendar_(options.calendar) {}
-
 EventQueue::EventId EventQueue::push(Tick at, Kind kind, ProcessId from,
                                      ProcessId to, FrameId frame, Fn fn) {
   TBR_ENSURE(at >= 0, "event time must be non-negative");
   const EventId id = next_id_++;
-  if (policy_ == Policy::kCalendar) {
-    calendar_.push(SchedEntry{at, id, kind, from, to, frame, std::move(fn)});
-  } else {
-    heap_.push(SchedEntry{at, id, kind, from, to, frame, std::move(fn)});
-  }
+  heap_.push(Fired{at, id, kind, from, to, frame, std::move(fn)});
   return id;
 }
 
@@ -47,23 +28,13 @@ EventQueue::EventId EventQueue::schedule_drain(Tick at, ProcessId to) {
   return push(at, Kind::kDrain, kNoProcess, to, 0, nullptr);
 }
 
-Tick EventQueue::next_time() const {
-  if (policy_ == Policy::kCalendar) return calendar_.next_time();
-  return heap_.empty() ? kNever : heap_.top().at;
-}
-
 EventQueue::Fired EventQueue::pop_next() {
-  if (policy_ == Policy::kCalendar) {
-    TBR_ENSURE(!calendar_.empty(), "pop_next on empty queue");
-    SchedEntry e = calendar_.pop();
-    return Fired{e.at, e.id, e.kind, e.from, e.to, e.frame, std::move(e.fn)};
-  }
   TBR_ENSURE(!heap_.empty(), "pop_next on empty queue");
   // priority_queue::top is const; move out via const_cast of the handle we
   // are about to pop (safe: pop() destroys the source immediately).
-  SchedEntry e = std::move(const_cast<SchedEntry&>(heap_.top()));
+  Fired e = std::move(const_cast<Fired&>(heap_.top()));
   heap_.pop();
-  return Fired{e.at, e.id, e.kind, e.from, e.to, e.frame, std::move(e.fn)};
+  return e;
 }
 
 EventQueue::Fired EventQueue::run_next() {

@@ -11,23 +11,11 @@
 // callable, stored in an InlineFn whose 48-byte inline buffer covers every
 // closure the engine itself creates.
 //
-// Two interchangeable backends sit behind one Options::policy knob:
-//
-//   kHeap      std::priority_queue binary heap. O(log n) per op, robust to
-//              any time distribution. The default — the golden-digest
-//              determinism constants are pinned on this policy.
-//   kCalendar  CalendarQueue bucket ring (calendar_queue.hpp). O(1)
-//              amortized for the clustered event horizons that constant/
-//              uniform delay models produce; degrades when times are
-//              heavy-tailed (overflow churn).
-//   kAuto      kCalendar when Options::clustered_delays (fed from
-//              DelayModel::clustered_delays()), else kHeap.
-//
-// Both backends pop the exact same (time, insertion-seq) total order — a
-// randomized cross-check property test and the golden-digest suite pin the
-// equivalence — and both count "work units" (heap: comparator invocations;
-// calendar: bucket probes + node traversals) so benches can project
-// relative throughput deterministically on any host.
+// The backend is a std::priority_queue binary heap: O(log n) per op and
+// robust to any time distribution. The simulator's queues hold tens of
+// events (docs/architecture.md, "Event scheduler"), a size at which the
+// heap beats bucketed schedulers. It counts comparator invocations as
+// "work units" so benches can report scheduler cost deterministically.
 //
 // The queue does not know how to execute Deliver/Drain events (that needs
 // the owning network's frame pool); pop_next() hands the typed entry back
@@ -41,7 +29,6 @@
 
 #include "common/ids.hpp"
 #include "common/inline_fn.hpp"
-#include "sim/calendar_queue.hpp"
 
 namespace tbr {
 
@@ -51,24 +38,13 @@ class EventQueue {
   using Fn = InlineFn;
   /// Index into the owning network's in-flight frame pool.
   using FrameId = std::uint32_t;
-  using Kind = SchedKind;
+  /// Event tag. Deliver/Drain are tag-only (no closure) so scheduling them
+  /// never touches the allocator; kClosure carries an InlineFn.
+  enum class Kind : std::uint8_t { kClosure, kDeliver, kDrain };
 
-  enum class Policy : std::uint8_t { kHeap, kCalendar, kAuto };
+  EventQueue() : heap_(Later{&work_}) {}
 
-  struct Options {
-    Policy policy = Policy::kHeap;
-    /// kAuto hint: true when the delay model clusters event horizons
-    /// (constant / narrow-uniform), false for heavy-tailed models.
-    bool clustered_delays = true;
-    /// Calendar geometry overrides (0 = automatic). Ignored on kHeap.
-    CalendarQueue::Options calendar;
-  };
-
-  EventQueue() : EventQueue(Options{}) {}
-  explicit EventQueue(Options options);
-
-  // The heap comparator and the calendar peek cache both point back into
-  // this object; pin it.
+  // The heap comparator points back into this object; pin it.
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -83,21 +59,18 @@ class EventQueue {
   /// Schedule a service-queue drain at node `to` (capacity model).
   EventId schedule_drain(Tick at, ProcessId to);
 
-  bool empty() const noexcept {
-    return policy_ == Policy::kCalendar ? calendar_.empty() : heap_.empty();
-  }
-  std::size_t size() const noexcept {
-    return policy_ == Policy::kCalendar ? calendar_.size() : heap_.size();
+  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t size() const noexcept { return heap_.size(); }
+
+  /// Time of the earliest pending event; kNever when empty. O(1).
+  Tick next_time() const noexcept {
+    return heap_.empty() ? kNever : heap_.top().at;
   }
 
-  /// Time of the earliest pending event; kNever when empty. O(1) on the
-  /// heap, amortized O(1) on the calendar (cached earliest-bucket cursor).
-  Tick next_time() const;
-
-  /// A popped event, handed to the caller for dispatch.
+  /// A queued event; pop_next() hands it to the caller for dispatch.
   struct Fired {
     Tick at = 0;
-    EventId id = 0;
+    EventId id = 0;  ///< insertion sequence; ties on `at` break by id
     Kind kind = Kind::kClosure;
     ProcessId from = kNoProcess;
     ProcessId to = kNoProcess;
@@ -113,25 +86,14 @@ class EventQueue {
   /// direct EventQueue users — the network uses pop_next().
   Fired run_next();
 
-  /// The resolved backend (never kAuto).
-  Policy policy() const noexcept { return policy_; }
-
-  /// Elementary scheduler operations so far: comparator invocations on the
-  /// heap, bucket probes + node traversals on the calendar. Deterministic
-  /// for a fixed schedule; bench_event_queue's events/s projection is the
-  /// ratio of the two backends' totals over an identical event stream.
-  std::uint64_t work_units() const noexcept {
-    return policy_ == Policy::kCalendar ? calendar_.work_units() : heap_work_;
-  }
-
-  /// Calendar backend introspection (geometry/resize counters). Only
-  /// meaningful when policy() == kCalendar.
-  const CalendarQueue& calendar() const noexcept { return calendar_; }
+  /// Heap comparator invocations so far. Deterministic for a fixed
+  /// schedule; perfbench reports it per event as sim.work_units_per_event.
+  std::uint64_t work_units() const noexcept { return work_; }
 
  private:
   struct Later {
     std::uint64_t* work = nullptr;
-    bool operator()(const SchedEntry& a, const SchedEntry& b) const {
+    bool operator()(const Fired& a, const Fired& b) const {
       ++*work;
       if (a.at != b.at) return a.at > b.at;
       return a.id > b.id;
@@ -140,10 +102,8 @@ class EventQueue {
   EventId push(Tick at, Kind kind, ProcessId from, ProcessId to,
                FrameId frame, Fn fn);
 
-  Policy policy_ = Policy::kHeap;
-  std::uint64_t heap_work_ = 0;  ///< must precede heap_ (comparator aims here)
-  std::priority_queue<SchedEntry, std::vector<SchedEntry>, Later> heap_;
-  mutable CalendarQueue calendar_;  ///< mutable: next_time() warms its cache
+  std::uint64_t work_ = 0;  ///< must precede heap_ (comparator aims here)
+  std::priority_queue<Fired, std::vector<Fired>, Later> heap_;
   EventId next_id_ = 0;
 };
 

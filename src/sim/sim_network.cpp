@@ -68,14 +68,6 @@ SimNetwork::SimNetwork(std::vector<std::unique_ptr<ProcessBase>> processes,
       crashed_(processes_.size(), false),
       recover_factory_(std::move(options.recover_factory)),
       chan_epoch_(processes_.size() * processes_.size(), 0),
-      // queue_ is declared before delay_, so options.delay is still intact
-      // here for the kAuto clustered-delays hint (the default model is
-      // ConstantDelay, which clusters).
-      queue_(EventQueue::Options{
-          options.scheduler_policy,
-          options.delay ? options.delay->clustered_delays() : true,
-          CalendarQueue::Options{options.calendar_buckets,
-                                 options.calendar_width}}),
       rng_(options.seed),
       delay_(options.delay ? std::move(options.delay)
                            : make_constant_delay(1000)),

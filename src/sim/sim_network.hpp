@@ -38,17 +38,6 @@ class SimNetwork {
     std::uint64_t seed = 1;
     std::unique_ptr<DelayModel> delay;  ///< default: ConstantDelay(1000)
 
-    /// Event-scheduler backend (event_queue.hpp). kHeap is the default —
-    /// the golden-digest determinism constants are pinned there; kCalendar
-    /// pops the identical (time, seq) order O(1) amortized for clustered
-    /// delay models; kAuto asks the delay model
-    /// (DelayModel::clustered_delays()).
-    EventQueue::Policy scheduler_policy = EventQueue::Policy::kHeap;
-    /// Calendar geometry overrides (0 = automatic; see
-    /// CalendarQueue::Options). Ignored on the heap backend.
-    std::uint32_t calendar_buckets = 0;
-    Tick calendar_width = 0;
-
     /// OUT-OF-MODEL fault injection: drop each frame with this probability.
     /// The CAMP model's channels are reliable and every algorithm here
     /// assumes that (none retransmits); non-zero loss exists to demonstrate
@@ -148,11 +137,7 @@ class SimNetwork {
   const MessageStats& stats() const noexcept { return stats_; }
   Rng& rng() noexcept { return rng_; }
 
-  /// Resolved scheduler backend (never kAuto) and its elementary-operation
-  /// counter — the deterministic basis of bench_event_queue's projection.
-  EventQueue::Policy scheduler_policy() const noexcept {
-    return queue_.policy();
-  }
+  /// Event-queue comparator invocations so far (EventQueue::work_units).
   std::uint64_t scheduler_work_units() const noexcept {
     return queue_.work_units();
   }

@@ -91,7 +91,6 @@ ShardedWorkloadResult run_sharded_workload(
   store_opt.slots_per_shard = options.slots_per_shard;
   store_opt.seed = options.seed;
   store_opt.engine = options.engine;
-  store_opt.scheduler_policy = options.scheduler_policy;
   store_opt.coalesce_writes = options.coalesce_writes;
   store_opt.max_batch = options.max_batch;
   store_opt.min_batch = options.min_batch;
@@ -225,7 +224,6 @@ CapacityProjection project_sharded_capacity(
     SimNetwork::Options net_opt;
     net_opt.seed = options.seed ^ (0xCAFEULL * (s + 1));
     net_opt.delay = make_constant_delay(options.delay_ticks);
-    net_opt.scheduler_policy = options.scheduler_policy;
     net_opt.service_time = options.service_time;
     SimNetwork net(std::move(processes), std::move(net_opt));
 

@@ -35,9 +35,6 @@ class SimRegisterGroup {
     /// keep 0 except for the D8 model-boundary experiment.
     double loss_rate = 0.0;
 
-    /// Event-scheduler backend (SimNetwork::Options::scheduler_policy).
-    EventQueue::Policy scheduler_policy = EventQueue::Policy::kHeap;
-
     /// Per-node frame service time (SimNetwork::Options::service_time);
     /// 0 = the pure channel-delay model.
     Tick service_time = 0;

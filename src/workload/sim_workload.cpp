@@ -82,7 +82,6 @@ SimWorkloadResult run_sim_workload(const SimWorkloadOptions& options) {
                         : make_uniform_delay(1, 1000);
   group_opt.process_factory = options.process_factory;
   group_opt.loss_rate = options.loss_rate;
-  group_opt.scheduler_policy = options.scheduler_policy;
   group_opt.service_time = options.service_time;
   // The observer's P1 check walks the per-channel in-flight frames.
   group_opt.track_in_flight = options.invariant_checks;

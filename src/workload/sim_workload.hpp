@@ -52,9 +52,6 @@ struct SimWorkloadOptions {
   /// OUT-OF-MODEL loss injection for the D8 model-boundary experiment.
   double loss_rate = 0.0;
 
-  /// Event-scheduler backend (SimNetwork::Options::scheduler_policy).
-  EventQueue::Policy scheduler_policy = EventQueue::Policy::kHeap;
-
   /// Per-node frame service time (SimNetwork capacity model); 0 = off.
   Tick service_time = 0;
 };

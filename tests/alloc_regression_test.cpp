@@ -97,66 +97,6 @@ TEST(AllocRegression, EventQueueClosureSchedulingIsAllocFree) {
   EXPECT_EQ(counter, 1024 + 1024);
 }
 
-// ---- the calendar scheduler (ISSUE 8): same exact ==0 gates ------------------
-//
-// The bucket ring recycles node pools, freelists and bucket heads like the
-// frame pool, and resizes reuse vector capacity once the high-water mark is
-// warm — so the calendar policy owes the very same exact-zero steady state
-// as the heap policy above.
-
-SimNetwork::Options calendar_net_options(Tick service_time = 0) {
-  SimNetwork::Options opt;
-  opt.scheduler_policy = EventQueue::Policy::kCalendar;
-  opt.service_time = service_time;
-  return opt;
-}
-
-TEST(AllocRegression, CalendarDeliveryLoopIsAllocFree) {
-  SimNetwork net(bench::make_relays(3, 0), calendar_net_options());
-  ASSERT_EQ(net.scheduler_policy(), EventQueue::Policy::kCalendar);
-  bench::kick_relay(net, 64);  // warm: bucket ring, node pool, freelist
-  ASSERT_TRUE(net.run());
-
-  bench::kick_relay(net, 4096);
-  const alloc::Window w;
-  ASSERT_TRUE(net.run());
-  EXPECT_EQ(w.allocations(), 0u)
-      << "calendar-path deliveries must not touch the heap";
-}
-
-TEST(AllocRegression, CalendarCapacityModelDeliveryIsAllocFree) {
-  SimNetwork net(bench::make_relays(3, 0), calendar_net_options(1500));
-  bench::kick_relay(net, 128);
-  ASSERT_TRUE(net.run());
-
-  bench::kick_relay(net, 2048);
-  const alloc::Window w;
-  ASSERT_TRUE(net.run());
-  EXPECT_EQ(w.allocations(), 0u)
-      << "calendar-path drains and parked frames must not allocate";
-}
-
-TEST(AllocRegression, CalendarClosureSchedulingIsAllocFree) {
-  // 1024 pending closures push the ring through its grow resizes during
-  // warmup; the measured window repeats the same occupancy sweep, so every
-  // grow/shrink must reuse the warmed vector capacities exactly.
-  SimNetwork net(bench::make_relays(2, 0), calendar_net_options());
-  long counter = 0;
-  for (int i = 0; i < 1024; ++i) {
-    net.schedule_after(i + 1, [&counter] { ++counter; });
-  }
-  ASSERT_TRUE(net.run());
-
-  const alloc::Window w;
-  for (int i = 0; i < 1024; ++i) {
-    net.schedule_after(i + 1, [&counter] { ++counter; });
-  }
-  ASSERT_TRUE(net.run());
-  EXPECT_EQ(w.allocations(), 0u)
-      << "warm calendar resizes must reuse bucket/pool capacity";
-  EXPECT_EQ(counter, 1024 + 1024);
-}
-
 TEST(AllocRegression, TwoBitDisseminationSettlesAllocFree) {
   // The real protocol: after each (unmeasured) client write completes, the
   // residual WRITE-frame gossip drained by settle() must be allocation-free.

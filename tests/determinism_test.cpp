@@ -84,15 +84,12 @@ GroupConfig cfg_n(std::uint32_t n) {
 // A scripted run with overlap, a crash, random (seeded) delays and a trace:
 // exercises send/deliver/drop scheduling, crash events, client events and
 // timers of the event queue in one deterministic scenario.
-std::uint64_t scripted_trace_digest(
-    std::uint64_t seed,
-    EventQueue::Policy policy = EventQueue::Policy::kHeap) {
+std::uint64_t scripted_trace_digest(std::uint64_t seed) {
   SimRegisterGroup::Options opt;
   opt.cfg = cfg_n(5);
   opt.algo = Algorithm::kTwoBit;
   opt.seed = seed;
   opt.delay = make_uniform_delay(1, 1000);
-  opt.scheduler_policy = policy;
   SimRegisterGroup group(std::move(opt));
 
   TraceLog trace;
@@ -125,9 +122,8 @@ std::uint64_t scripted_trace_digest(
   return digest_trace(trace);
 }
 
-std::uint64_t workload_digest(
-    Algorithm algo, std::uint64_t seed, std::uint32_t crashes,
-    EventQueue::Policy policy = EventQueue::Policy::kHeap) {
+std::uint64_t workload_digest(Algorithm algo, std::uint64_t seed,
+                              std::uint32_t crashes) {
   SimWorkloadOptions opt;
   opt.cfg = cfg_n(5);
   opt.algo = algo;
@@ -136,7 +132,6 @@ std::uint64_t workload_digest(
   opt.writer_read_fraction = 0.25;
   opt.crashes = crashes;
   opt.invariant_checks = false;
-  opt.scheduler_policy = policy;
   return digest_result(run_sim_workload(opt));
 }
 
@@ -189,37 +184,7 @@ TEST(DeterminismGolden, TimeEfficientWorkloadSeed13Crashy) {
   EXPECT_EQ(workload_digest(Algorithm::kTimeEfficient, 13, 2), 9057313251012063291ULL);
 }
 
-// The calendar backend pops the exact (time, insertion-seq) order the heap
-// does, so the SAME pinned constants must hold on Policy::kCalendar — no
-// re-capture. A divergence here means the backends disagree on ordering.
-TEST(DeterminismGolden, TwoBitScriptedTraceSeed42Calendar) {
-  EXPECT_EQ(scripted_trace_digest(42, EventQueue::Policy::kCalendar),
-            12275735979123642976ULL);
-}
-
-TEST(DeterminismGolden, TwoBitWorkloadSeed9CrashyCalendar) {
-  EXPECT_EQ(
-      workload_digest(Algorithm::kTwoBit, 9, 2, EventQueue::Policy::kCalendar),
-      16356525218755894778ULL);
-}
-
-TEST(DeterminismGolden, OhRamWorkloadSeed13CrashyCalendar) {
-  EXPECT_EQ(
-      workload_digest(Algorithm::kOhRam, 13, 2, EventQueue::Policy::kCalendar),
-      862416080980553890ULL);
-}
 #endif  // __GLIBCXX__
-
-// Library-independent form of the same claim: heap and calendar digests are
-// equal on any standard library, whatever the distribution draws are.
-TEST(DeterminismGolden, PoliciesDigestIdentically) {
-  EXPECT_EQ(scripted_trace_digest(2026, EventQueue::Policy::kHeap),
-            scripted_trace_digest(2026, EventQueue::Policy::kCalendar));
-  EXPECT_EQ(
-      workload_digest(Algorithm::kTwoBit, 55, 1, EventQueue::Policy::kHeap),
-      workload_digest(Algorithm::kTwoBit, 55, 1,
-                      EventQueue::Policy::kCalendar));
-}
 
 TEST(DeterminismGolden, RunTwiceBitIdentical) {
   EXPECT_EQ(scripted_trace_digest(1234), scripted_trace_digest(1234));
@@ -227,12 +192,9 @@ TEST(DeterminismGolden, RunTwiceBitIdentical) {
             workload_digest(Algorithm::kTwoBit, 77, 1));
 }
 
-TEST(DeterminismGolden, FastReadRunTwiceAndPoliciesIdentical) {
+TEST(DeterminismGolden, FastReadRunTwiceBitIdentical) {
   for (const auto algo : fastread_algorithms()) {
     EXPECT_EQ(workload_digest(algo, 77, 1), workload_digest(algo, 77, 1))
-        << algorithm_name(algo);
-    EXPECT_EQ(workload_digest(algo, 55, 1, EventQueue::Policy::kHeap),
-              workload_digest(algo, 55, 1, EventQueue::Policy::kCalendar))
         << algorithm_name(algo);
   }
 }

@@ -15,12 +15,15 @@
 //   tbr_cli run --algo=twobit --n=7 --ops=50 --crashes=2 --seed=42
 //   tbr_cli run --algo=abd-bounded --n=5 --delay=flipflop
 //   tbr_cli kv --shards=4 --keys=512 --ops=3000 --read-fraction=0.9
+//   tbr_cli kv --algo=ohram --ops=2000
 //   tbr_cli trace --algo=twobit --n=3 --writes=2 --reads=1
 //   tbr_cli ops --n=9
 //   tbr_cli modelcheck --scenario=write-read --n=3
 //   tbr_cli modelcheck --scenario=write-read --ablate=line20
 //   tbr_cli modelcheck --scenario=two-writes-read --walks=5000
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "common/flags.hpp"
 #include "common/table.hpp"
@@ -32,37 +35,19 @@
 namespace tbr {
 namespace {
 
+// --algo: any of the six register protocols, on every subcommand that
+// builds registers (run, trace, kv). An unknown name is rejected with the
+// accepted list, never replaced by a default.
 Algorithm parse_algorithm(const std::string& name) {
-  for (const auto algo : all_algorithms()) {
+  std::vector<Algorithm> algos = all_algorithms();
+  const auto& fast = fastread_algorithms();
+  algos.insert(algos.end(), fast.begin(), fast.end());
+  std::string names;
+  for (const auto algo : algos) {
     if (algorithm_name(algo) == name) return algo;
+    names += (names.empty() ? "" : ", ") + algorithm_name(algo);
   }
-  throw ContractViolation("unknown --algo '" + name +
-                          "' (twobit, abd-unbounded, abd-bounded, attiya)");
-}
-
-// The register engine knob: the two-bit default or a fast-path read
-// engine. Orthogonal to --algo, which picks among the Table-1 baselines.
-Algorithm parse_engine(const std::string& name) {
-  if (name == "twobit") return Algorithm::kTwoBit;
-  for (const auto algo : fastread_algorithms()) {
-    if (algorithm_name(algo) == name) return algo;
-  }
-  throw ContractViolation("unknown --engine '" + name +
-                          "' (twobit, ohram, timeeff)");
-}
-
-// run/trace accept both knobs; a non-default --engine takes over the
-// whole group (mixing a fast-read engine with a baseline --algo in one
-// run makes no sense, so that combination is rejected).
-Algorithm resolve_run_algorithm(FlagParser& flags) {
-  const Algorithm engine = parse_engine(flags.get_string("engine"));
-  const Algorithm algo = parse_algorithm(flags.get_string("algo"));
-  if (engine == Algorithm::kTwoBit) return algo;
-  if (algo != Algorithm::kTwoBit) {
-    throw ContractViolation(
-        "--engine and --algo both set: pick one register protocol");
-  }
-  return engine;
+  throw ContractViolation("unknown --algo '" + name + "' (" + names + ")");
 }
 
 std::unique_ptr<DelayModel> parse_delay(const std::string& kind,
@@ -78,14 +63,6 @@ std::unique_ptr<DelayModel> parse_delay(const std::string& kind,
                           "' (const, uniform, expo, flipflop, straggler)");
 }
 
-EventQueue::Policy parse_scheduler(const std::string& kind) {
-  if (kind == "heap") return EventQueue::Policy::kHeap;
-  if (kind == "calendar") return EventQueue::Policy::kCalendar;
-  if (kind == "auto") return EventQueue::Policy::kAuto;
-  throw ContractViolation("unknown --scheduler '" + kind +
-                          "' (heap, calendar, auto)");
-}
-
 int cmd_run(FlagParser& flags) {
   SimWorkloadOptions opt;
   opt.cfg.n = static_cast<std::uint32_t>(flags.get_int("n"));
@@ -94,7 +71,7 @@ int cmd_run(FlagParser& flags) {
                   : static_cast<std::uint32_t>(flags.get_int("t"));
   opt.cfg.writer = 0;
   opt.cfg.initial = Value::from_int64(0);
-  opt.algo = resolve_run_algorithm(flags);
+  opt.algo = parse_algorithm(flags.get_string("algo"));
   opt.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   opt.ops_per_process = static_cast<std::uint32_t>(flags.get_int("ops"));
   opt.writer_read_fraction = flags.get_double("writer-read-fraction");
@@ -103,7 +80,6 @@ int cmd_run(FlagParser& flags) {
   opt.allow_writer_crash = flags.get_bool("crash-writer");
   opt.invariant_checks =
       flags.get_bool("invariants") && opt.algo == Algorithm::kTwoBit;
-  opt.scheduler_policy = parse_scheduler(flags.get_string("scheduler"));
   const Tick delta = flags.get_int("delta");
   const std::string delay = flags.get_string("delay");
   opt.delay_factory = [delay, delta](const GroupConfig& cfg) {
@@ -163,8 +139,7 @@ int cmd_kv(FlagParser& flags) {
   opt.coalesce_writes = flags.get_bool("coalesce-writes");
   opt.min_batch = static_cast<std::size_t>(flags.get_int("min-batch"));
   opt.pin_shard_threads = flags.get_bool("pin");
-  opt.engine = parse_engine(flags.get_string("engine"));
-  opt.scheduler_policy = parse_scheduler(flags.get_string("scheduler"));
+  opt.engine = parse_algorithm(flags.get_string("algo"));
   opt.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   const auto engine = run_sharded_workload(opt);
@@ -207,7 +182,7 @@ int cmd_trace(FlagParser& flags) {
   cfg.t = (cfg.n - 1) / 2;
   cfg.writer = 0;
   cfg.initial = Value::from_int64(0);
-  const auto algo = resolve_run_algorithm(flags);
+  const auto algo = parse_algorithm(flags.get_string("algo"));
   const Tick delta = flags.get_int("delta");
 
   SimRegisterGroup::Options gopt;
@@ -215,7 +190,6 @@ int cmd_trace(FlagParser& flags) {
   gopt.algo = algo;
   gopt.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   gopt.delay = make_constant_delay(delta);
-  gopt.scheduler_policy = parse_scheduler(flags.get_string("scheduler"));
   SimRegisterGroup group(std::move(gopt));
 
   TraceLog trace;
@@ -350,11 +324,10 @@ int cmd_modelcheck(FlagParser& flags) {
 int real_main(int argc, char** argv) {
   FlagParser flags("tbr_cli",
                    "drive the two-bit register and its baselines "
-                   "(subcommands: run, trace, ops)");
+                   "(subcommands: run, kv, trace, ops, modelcheck)");
   flags.add_string("algo", "twobit",
-                   "twobit | abd-unbounded | abd-bounded | attiya");
-  flags.add_string("engine", "twobit",
-                   "register engine: twobit | ohram | timeeff (run/trace/kv)");
+                   "register protocol: twobit | abd-unbounded | abd-bounded "
+                   "| attiya | ohram | timeeff (run/trace/kv)");
   flags.add_int("n", 5, "number of processes");
   flags.add_int("t", -1, "crash budget (-1 = max, (n-1)/2)");
   flags.add_int("ops", 20, "operations per process (run) / total (kv)");
@@ -362,8 +335,6 @@ int real_main(int argc, char** argv) {
   flags.add_int("delta", 1000, "base message delay in ticks");
   flags.add_string("delay", "uniform",
                    "const | uniform | expo | flipflop | straggler");
-  flags.add_string("scheduler", "heap",
-                   "event scheduler: heap | calendar | auto (run/trace/kv)");
   flags.add_int("think", 500, "max think time between ops (run)");
   flags.add_int("crashes", 0, "processes to crash (run)");
   flags.add_bool("crash-writer", false, "writer is crash-eligible (run)");
