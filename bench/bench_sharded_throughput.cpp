@@ -1,6 +1,6 @@
 // Experiment D11 — sharded multi-register throughput (the scale-out layer).
 //
-// The flat KV layer (D10) showed that multiplexing many registers over one
+// The mux layer (D10) showed that multiplexing many registers over one
 // network keeps per-op cost flat; it also serializes every key behind one
 // event loop. This bench measures what the sharded engine buys on a
 // read-dominated, zipf-skewed keyspace, two ways:

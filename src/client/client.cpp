@@ -100,10 +100,7 @@ void ClientBase::issue_chained(std::uint32_t first) {
 OpResult ClientBase::wait(Ticket t) {
   OpState* st = pool_.find(t);
   TBR_ENSURE(st != nullptr, "wait on an empty, stale or consumed ticket");
-  if (!st->ready.load(std::memory_order_acquire)) {
-    engine_flush();
-    if (!st->ready.load(std::memory_order_acquire)) engine_park(*st);
-  }
+  if (!st->ready.load(std::memory_order_acquire)) engine_park(*st);
   if (!st->ready.load(std::memory_order_acquire)) {
     // The drive failed (liveness lost). The engine stamped a status; the
     // slot is quarantined in case its completion fires on a later drive.
@@ -123,12 +120,6 @@ OpResult ClientBase::wait(Ticket t) {
 bool ClientBase::try_result(Ticket t, OpResult& out) {
   OpState* st = pool_.find(t);
   TBR_ENSURE(st != nullptr, "poll on an empty, stale or consumed ticket");
-  if (!st->ready.load(std::memory_order_acquire)) {
-    // Deferred-issue engines (the flat KvStore) hand the window to the
-    // protocol here, so a poll loop makes progress; the caller still
-    // drives completion (wait(), or the sim facade's settle()).
-    engine_flush();
-  }
   if (!st->ready.load(std::memory_order_acquire)) return false;
   out = st->result;
   pool_.release(*st);

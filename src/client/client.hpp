@@ -1,8 +1,8 @@
 // RegisterClient / KvClient: one client API for every engine in the tree.
 //
-// The repo grew four incompatible client surfaces — KvStore's blocking
-// put/get (exceptions), ShardedKvStore's promise-backed futures (~4
-// allocations per op), ThreadNetwork's callback/future split, and
+// The repo grew four incompatible client surfaces — a flat store's
+// blocking put/get (exceptions), ShardedKvStore's promise-backed futures
+// (~4 allocations per op), ThreadNetwork's callback/future split, and
 // SimRegisterGroup's raw std::function hooks. This layer replaces all of
 // them with a single completion model:
 //
@@ -12,7 +12,7 @@
 //     engines) until the op completes and returns a uniform OpResult
 //     carrying a Status — never an exception, never a static string;
 //   * submit(span<Op>) hands a whole window to the engine at once — the kv
-//     engines feed it into MuxProcess::start_batch (shared read rounds,
+//     engine feeds it into MuxProcess::start_batch (shared read rounds,
 //     last-write-wins coalescing), the register engines pipeline it
 //     through per-process chains.
 //
@@ -25,8 +25,8 @@
 // tests/alloc_regression_test.cpp and bench_engine_hotpath gate this.
 //
 // Engines plug in via the small *ClientEngine interfaces below; the
-// facades (SimRegisterGroup, ThreadNetwork, KvStore, ShardedKvStore) each
-// expose a lazily-built client() backed by their implementation.
+// facades (SimRegisterGroup, ThreadNetwork, SocketNetwork, ShardedKvStore)
+// each expose a client() backed by their implementation.
 #pragma once
 
 #include <atomic>
@@ -98,7 +98,6 @@ class ClientBase {
   // Engine hooks, implemented by the concrete client over its engine.
   virtual void engine_issue(OpState& st) = 0;
   virtual void engine_park(OpState& st) = 0;
-  virtual void engine_flush() {}
 
   /// Size the per-node chains (register engines; kv engines skip them).
   void init_chains(std::uint32_t nodes) { chains_.resize(nodes); }
@@ -223,9 +222,6 @@ class KvClientEngine {
   virtual void client_route(std::string_view key, OpState& st) = 0;
   virtual void client_issue(OpState& st) = 0;
   virtual void client_park(OpState& st, OpPool& pool) = 0;
-  /// Deferred-issue engines (the flat KvStore batches everything submitted
-  /// since the last wait into one MuxProcess::start_batch window).
-  virtual void client_flush() {}
 };
 
 class KvClient final : public ClientBase {
@@ -238,9 +234,9 @@ class KvClient final : public ClientBase {
   Ticket get(std::string_view key, ProcessId reader = kAnyReplica,
              OpCallback cb = {});
 
-  /// Batch window: every op routed and handed to the engine together —
-  /// one MuxProcess::start_batch per replica on the sim-backed store, one
-  /// mailbox window on the sharded store. Values/keys are consumed.
+  /// Batch window: every op routed and handed to the engine together, so
+  /// the sharded store's workers can fold them into one mailbox window.
+  /// Values/keys are consumed.
   std::size_t submit(std::span<KvOp> ops, Ticket* tickets = nullptr);
 
   // Blocking round-trips.
@@ -254,7 +250,6 @@ class KvClient final : public ClientBase {
  protected:
   void engine_issue(OpState& st) override { engine_.client_issue(st); }
   void engine_park(OpState& st) override { engine_.client_park(st, pool_); }
-  void engine_flush() override { engine_.client_flush(); }
 
  private:
   KvClientEngine& engine_;

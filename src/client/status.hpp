@@ -1,8 +1,9 @@
 // Status: the one operation outcome type of the client API.
 //
 // Before the unified client layer, each runtime reported failures its own
-// way — KvStore threw std::runtime_error, the threaded callbacks passed
-// static `const char*` strings, the sharded futures threw out of get().
+// way — blocking kv calls threw std::runtime_error, the threaded callbacks
+// passed static `const char*` strings, the sharded futures threw out of
+// get().
 // Status replaces all of them with a value type the hot path can afford:
 // a code plus a pointer to a static message, no ownership, no allocation.
 //

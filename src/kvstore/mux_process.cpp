@@ -276,4 +276,25 @@ std::uint64_t MuxProcess::local_memory_bytes() const {
   return bytes;
 }
 
+std::vector<std::unique_ptr<ProcessBase>> make_mux_group(
+    std::uint32_t n, std::uint32_t t, std::uint32_t slots,
+    const Value& initial, const MuxProcess::SlotFactory& factory) {
+  auto slot_cfg = [n, t, initial](std::uint32_t slot) {
+    GroupConfig cfg;
+    cfg.n = n;
+    cfg.t = t;
+    cfg.writer = slot % n;
+    cfg.initial = initial;
+    cfg.validate();
+    return cfg;
+  };
+  std::vector<std::unique_ptr<ProcessBase>> processes;
+  processes.reserve(n);
+  for (ProcessId pid = 0; pid < n; ++pid) {
+    processes.push_back(
+        std::make_unique<MuxProcess>(slots, slot_cfg, pid, factory));
+  }
+  return processes;
+}
+
 }  // namespace tbr

@@ -181,4 +181,14 @@ class MuxProcess final : public ProcessBase {
   bool crashed_ = false;
 };
 
+/// The n processes of one register group hosting `slots` registers: node
+/// pid's MuxProcess, with slot s written at node s mod n (the SWMR
+/// constraint as a placement policy) and `initial` as every slot's value
+/// before its first write. `factory` builds each slot's register (empty:
+/// two-bit). Nodes and their slots are built in order.
+std::vector<std::unique_ptr<ProcessBase>> make_mux_group(
+    std::uint32_t n, std::uint32_t t, std::uint32_t slots,
+    const Value& initial = Value(),
+    const MuxProcess::SlotFactory& factory = {});
+
 }  // namespace tbr

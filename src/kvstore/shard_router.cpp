@@ -12,7 +12,11 @@ ShardRouter::ShardRouter(std::uint32_t shards, std::uint32_t slots_per_shard,
   TBR_ENSURE(nodes_ >= 1, "router needs at least one node per shard");
 }
 
-std::uint64_t ShardRouter::hash(std::string_view key) {
+namespace {
+
+/// Stable 64-bit FNV-1a; the one hash every placement decision derives
+/// from.
+std::uint64_t fnv1a(std::string_view key) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
   for (const char c : key) {
     h ^= static_cast<unsigned char>(c);
@@ -20,8 +24,6 @@ std::uint64_t ShardRouter::hash(std::string_view key) {
   }
   return h;
 }
-
-namespace {
 
 /// splitmix64 finalizer. Raw FNV-1a mixes its LOW bits well but leaves the
 /// high half nearly constant for short, similar keys ("key-0".."key-255"
@@ -40,7 +42,7 @@ std::uint64_t avalanche(std::uint64_t h) {
 }  // namespace
 
 ShardRouter::Placement ShardRouter::place(std::string_view key) const {
-  const std::uint64_t h = avalanche(hash(key));
+  const std::uint64_t h = avalanche(fnv1a(key));
   Placement p;
   p.shard = static_cast<std::uint32_t>((h >> 32) % shards_);
   p.slot = static_cast<std::uint32_t>((h & 0xFFFFFFFFULL) % slots_);

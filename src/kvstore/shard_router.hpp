@@ -9,9 +9,8 @@
 //
 // Using disjoint hash halves for shard and slot means resharding (changing
 // the shard count) re-balances keys across groups without also reshuffling
-// their slot assignment pattern, and vice versa. KvStore routes through the
-// single-shard router, so the flat store is the degenerate case of this
-// scheme rather than a different one.
+// their slot assignment pattern, and vice versa. A single-shard store
+// (shards = 1) is the degenerate case of this scheme, not a different one.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +24,6 @@ class ShardRouter {
  public:
   ShardRouter(std::uint32_t shards, std::uint32_t slots_per_shard,
               std::uint32_t nodes_per_shard);
-
-  /// Stable 64-bit FNV-1a; the one hash every placement decision derives
-  /// from (shared with KvStore so flat and sharded placement agree).
-  static std::uint64_t hash(std::string_view key);
 
   struct Placement {
     std::uint32_t shard = 0;  ///< register group

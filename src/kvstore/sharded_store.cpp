@@ -21,6 +21,10 @@ constexpr Status kLivenessRefused{
 constexpr Status kLivenessMidBatch{StatusCode::kLivenessLost,
                                    "shard lost liveness mid-batch"};
 
+/// Every shard's channel delay Δ. Shards keep SimNetwork's default
+/// service_time of 0: no node capacity model, as the CAMP model assumes.
+constexpr Tick kShardDelayTicks = 1000;
+
 }  // namespace
 
 /// One queued client request (or a crash marker) bound for a shard worker.
@@ -132,17 +136,6 @@ ShardedKvStore::ShardedKvStore(Options options)
       router_(opt_.shards, opt_.slots_per_shard, opt_.n) {
   TBR_ENSURE(opt_.shards >= 1, "store needs at least one shard");
   const std::uint32_t n = opt_.n;
-  const std::uint32_t t = opt_.t;
-  const Value initial = opt_.initial;
-  auto slot_cfg = [n, t, initial](std::uint32_t slot) {
-    GroupConfig cfg;
-    cfg.n = n;
-    cfg.t = t;
-    cfg.writer = slot % n;  // shard-internal placement, as in KvStore
-    cfg.initial = initial;
-    cfg.validate();
-    return cfg;
-  };
 
   // An explicit factory wins; otherwise the engine knob picks the per-slot
   // register protocol (two-bit default, or a fast-path read engine).
@@ -165,20 +158,14 @@ ShardedKvStore::ShardedKvStore(Options options)
     shard->pin = opt_.pin_shard_threads;
     shard->per_node.resize(n);
 
-    std::vector<std::unique_ptr<ProcessBase>> processes;
-    processes.reserve(n);
-    for (ProcessId pid = 0; pid < n; ++pid) {
-      processes.push_back(std::make_unique<MuxProcess>(
-          opt_.slots_per_shard, slot_cfg, pid, opt_.register_factory));
-    }
     SimNetwork::Options net_opt;
     net_opt.seed = opt_.seed ^ (0x5A17ULL * (s + 1));
-    net_opt.service_time = opt_.service_time;
-    net_opt.delay = opt_.delay_factory
-                        ? opt_.delay_factory(s)
-                        : make_constant_delay(opt_.delay_ticks);
-    shard->net = std::make_unique<SimNetwork>(std::move(processes),
-                                              std::move(net_opt));
+    net_opt.delay = make_constant_delay(kShardDelayTicks);
+    // Slot homes match ShardRouter's placement (home = slot mod n).
+    shard->net = std::make_unique<SimNetwork>(
+        make_mux_group(n, opt_.t, opt_.slots_per_shard, opt_.initial,
+                       opt_.register_factory),
+        std::move(net_opt));
     shards_.push_back(std::move(shard));
   }
 
@@ -206,12 +193,6 @@ std::uint32_t ShardedKvStore::shard_count() const noexcept {
 }
 
 std::uint32_t ShardedKvStore::node_count() const noexcept { return opt_.n; }
-
-ShardedKvStore::Shard& ShardedKvStore::shard_for(
-    std::string_view key, ShardRouter::Placement& out) {
-  out = router_.place(key);
-  return *shards_[out.shard];
-}
 
 void ShardedKvStore::crash(std::uint32_t shard, ProcessId node) {
   TBR_ENSURE(shard < shards_.size(), "shard out of range");

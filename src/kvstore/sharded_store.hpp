@@ -1,10 +1,9 @@
 // ShardedKvStore: the keyspace partitioned across independent register
 // groups, with a per-shard batching window.
 //
-// The flat KvStore multiplexes every slot over ONE n-node network and
-// drives it one blocking operation at a time — fine for a demo, a wall for
-// throughput: every key in the store serializes through one event loop.
-// This engine is the scale-out layer:
+// One MuxProcess network multiplexes many slots over ONE n-node group, but
+// every key on it serializes through one event loop. This engine is the
+// scale-out layer (shards = 1 is the single-group store):
 //
 //   * ShardRouter splits the keyspace across `shards` register GROUPS, each
 //     a full n-node crash-prone network of its own (its own MuxProcess per
@@ -75,11 +74,6 @@ class ShardedKvStore {
     /// Pin shard worker s to core s (best-effort; see runtime/affinity.hpp).
     bool pin_shard_threads = false;
 
-    /// Per-shard network knobs (defaults match KvStore).
-    Tick delay_ticks = 1000;  ///< constant channel delay when no factory set
-    std::function<std::unique_ptr<DelayModel>(std::uint32_t shard)>
-        delay_factory;                         ///< overrides delay_ticks
-    Tick service_time = 0;                     ///< SimNetwork node capacity
     /// Per-slot register engine when `register_factory` is unset
     /// (two-bit default, or a fast-path read engine for 3Δ/2Δ gets).
     Algorithm engine = Algorithm::kTwoBit;
@@ -134,7 +128,6 @@ class ShardedKvStore {
   struct ShardOp;
   class ClientImpl;
 
-  Shard& shard_for(std::string_view key, ShardRouter::Placement& out);
   static void worker_loop(Shard& shard, std::stop_token st);
   /// Copy the worker-owned counters into the cross-thread snapshot.
   static void publish_report(Shard& shard);

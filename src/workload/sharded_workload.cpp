@@ -191,17 +191,6 @@ CapacityProjection project_sharded_capacity(
   }
 
   const std::uint32_t n = options.n;
-  const std::uint32_t t = options.t;
-  auto slot_cfg = [n, t](std::uint32_t slot) {
-    GroupConfig cfg;
-    cfg.n = n;
-    cfg.t = t;
-    cfg.writer = slot % n;
-    cfg.initial = Value();
-    cfg.validate();
-    return cfg;
-  };
-
   CapacityProjection projection;
   projection.ops = ops.size();
   projection.shard_ticks.assign(options.shards, 0);
@@ -211,21 +200,17 @@ CapacityProjection project_sharded_capacity(
     const auto& shard_ops = per_shard[s];
     if (shard_ops.empty()) continue;
 
-    std::vector<std::unique_ptr<ProcessBase>> processes;
-    processes.reserve(n);
     const Algorithm engine = options.engine;
     auto factory = [engine](const GroupConfig& cfg, ProcessId pid) {
       return make_register_process(engine, cfg, pid);
     };
-    for (ProcessId pid = 0; pid < n; ++pid) {
-      processes.push_back(std::make_unique<MuxProcess>(
-          options.slots_per_shard, slot_cfg, pid, factory));
-    }
     SimNetwork::Options net_opt;
     net_opt.seed = options.seed ^ (0xCAFEULL * (s + 1));
     net_opt.delay = make_constant_delay(options.delay_ticks);
     net_opt.service_time = options.service_time;
-    SimNetwork net(std::move(processes), std::move(net_opt));
+    SimNetwork net(
+        make_mux_group(n, options.t, options.slots_per_shard, Value(), factory),
+        std::move(net_opt));
 
     ProcessId next_reader = 0;
     std::size_t next = 0;

@@ -6,17 +6,16 @@
 // StatusCode::kCrashed everywhere, a stopped engine is kShutdown, an
 // over-budget crash set is kLivenessLost, and a coalesced write reports
 // absorbed = true with the surviving version — whether the op ran on the
-// simulator, on real threads, on the flat sim-backed store, or on the
-// sharded engine's workers.
+// simulator, on real threads, over TCP, or on the sharded engine's workers.
 //
 // Register engines under test: SimRegisterGroup, ThreadNetwork,
 //                              SocketNetwork (loopback TCP).
-// KV engines under test:       KvStore (flat), ShardedKvStore.
+// KV engine under test:        ShardedKvStore.
 //
 // (The wall-clock runtimes — threaded and socket — intentionally have no
 // liveness verdict: real time has no "the queue drained" moment, so an op
 // against a dead quorum waits until its target crashes or the network
-// stops. The liveness cases below therefore cover the three sim-backed
+// stops. The liveness cases below therefore cover the two sim-backed
 // engines.)
 
 #include <gtest/gtest.h>
@@ -25,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "kvstore/kv_store.hpp"
 #include "kvstore/sharded_store.hpp"
 #include "runtime/thread_network.hpp"
 #include "transport/socket_network.hpp"
@@ -355,16 +353,7 @@ TEST(ClientConformance, ShardedShutdownReportsShutdownStatus) {
             StatusCode::kShutdown);
 }
 
-// ---- the kv script across the flat and sharded stores ------------------------
-
-KvStore make_flat_store() {
-  KvStore::Options opt;
-  opt.n = 3;
-  opt.t = 1;
-  opt.slots = 8;
-  opt.initial = Value::from_string("unset");
-  return KvStore(std::move(opt));
-}
+// ---- the kv scripts on the sharded store ------------------------------------
 
 std::unique_ptr<ShardedKvStore> make_sharded_store(std::size_t min_batch = 0) {
   ShardedKvStore::Options opt;
@@ -378,132 +367,91 @@ std::unique_ptr<ShardedKvStore> make_sharded_store(std::size_t min_batch = 0) {
   return std::make_unique<ShardedKvStore>(std::move(opt));
 }
 
-TEST(ClientConformance, KvHappyPathMatchesAcrossFlatAndSharded) {
+TEST(ClientConformance, KvHappyPath) {
+  auto store = make_sharded_store();
+  KvClient& client = store->client();
   // Keys hashing into one slot share that slot's register (per-slot
   // histories, by design), so the never-written probe must live in a
-  // different slot than "alpha" on each store.
-  auto script = [](KvClient& client, std::string_view miss_key) {
-    std::vector<StatusCode> codes;
-    codes.push_back(
-        client.put_sync("alpha", Value::from_string("1")).status.code());
-    codes.push_back(
-        client.put_sync("alpha", Value::from_string("2")).status.code());
-    const OpResult g = client.get_sync("alpha");
-    codes.push_back(g.status.code());
-    EXPECT_EQ(g.value.to_string(), "2");
-    EXPECT_EQ(g.version, 2);
-    const OpResult miss = client.get_sync(miss_key);
-    codes.push_back(miss.status.code());
-    EXPECT_EQ(miss.value.to_string(), "unset");
-    EXPECT_EQ(miss.version, 0);
-    return codes;
-  };
-  auto pick_fresh = [](const std::function<bool(const std::string&)>& collides) {
-    for (int i = 0;; ++i) {
-      std::string candidate = "never-" + std::to_string(i);
-      if (!collides(candidate)) return candidate;
+  // different register than "alpha".
+  const auto alpha_at = store->router().place("alpha");
+  std::string miss_key;
+  for (int i = 0; miss_key.empty(); ++i) {
+    std::string candidate = "never-" + std::to_string(i);
+    const auto at = store->router().place(candidate);
+    if (at.shard != alpha_at.shard || at.slot != alpha_at.slot) {
+      miss_key = std::move(candidate);
     }
-  };
-
-  auto flat = make_flat_store();
-  const std::string flat_miss = pick_fresh([&flat](const std::string& k) {
-    return flat.slot_of(k) == flat.slot_of("alpha");
-  });
-  auto sharded = make_sharded_store();
-  const auto alpha_at = sharded->router().place("alpha");
-  const std::string sharded_miss =
-      pick_fresh([&sharded, &alpha_at](const std::string& k) {
-        const auto at = sharded->router().place(k);
-        return at.shard == alpha_at.shard && at.slot == alpha_at.slot;
-      });
-
-  const auto flat_codes = script(flat.client(), flat_miss);
-  const auto sharded_codes = script(sharded->client(), sharded_miss);
-  EXPECT_EQ(flat_codes, sharded_codes);
-  for (const StatusCode code : flat_codes) {
-    EXPECT_EQ(code, StatusCode::kOk);
   }
+
+  std::vector<StatusCode> codes;
+  codes.push_back(
+      client.put_sync("alpha", Value::from_string("1")).status.code());
+  codes.push_back(
+      client.put_sync("alpha", Value::from_string("2")).status.code());
+  const OpResult g = client.get_sync("alpha");
+  codes.push_back(g.status.code());
+  EXPECT_EQ(g.value.to_string(), "2");
+  EXPECT_EQ(g.version, 2);
+  const OpResult miss = client.get_sync(miss_key);
+  codes.push_back(miss.status.code());
+  EXPECT_EQ(miss.value.to_string(), "unset");
+  EXPECT_EQ(miss.version, 0);
+  const std::vector<StatusCode> expected(4, StatusCode::kOk);
+  EXPECT_EQ(codes, expected);
 }
 
-TEST(ClientConformance, AbsorbedWritesMatchAcrossFlatAndSharded) {
-  // Three puts to one key submitted into a single window: last-write-wins
-  // coalescing absorbs the first two, everyone reports the surviving
-  // version, and a read observes only the survivor — identically on the
-  // flat store (deferred window) and the sharded store (min_batch window).
-  auto script = [](KvClient& client) {
-    std::array<Ticket, 3> tickets;
-    for (int k = 0; k < 3; ++k) {
-      tickets[k] =
-          client.put("hot", Value::from_string("v" + std::to_string(k)));
-    }
-    std::array<OpResult, 3> results;
-    for (int k = 0; k < 3; ++k) results[k] = client.wait(tickets[k]);
-    for (int k = 0; k < 3; ++k) {
-      EXPECT_TRUE(results[k].status.ok()) << results[k].status.message();
-      EXPECT_EQ(results[k].version, results[2].version)
-          << "a coalesced run lands as one protocol write";
-    }
-    EXPECT_TRUE(results[0].absorbed);
-    EXPECT_TRUE(results[1].absorbed);
-    EXPECT_FALSE(results[2].absorbed);
-    const OpResult g = client.get_sync("hot");
-    EXPECT_EQ(g.value.to_string(), "v2");
-  };
-  auto flat = make_flat_store();
-  script(flat.client());
-  auto sharded = make_sharded_store(/*min_batch=*/3);
-  script(sharded->client());
+TEST(ClientConformance, KvAbsorbedWrites) {
+  // Three puts to one key submitted into a single window (the min_batch
+  // floor holds it open): last-write-wins coalescing absorbs the first
+  // two, everyone reports the surviving version, and a read observes only
+  // the survivor.
+  auto store = make_sharded_store(/*min_batch=*/3);
+  KvClient& client = store->client();
+  std::array<Ticket, 3> tickets;
+  for (int k = 0; k < 3; ++k) {
+    tickets[k] =
+        client.put("hot", Value::from_string("v" + std::to_string(k)));
+  }
+  std::array<OpResult, 3> results;
+  for (int k = 0; k < 3; ++k) results[k] = client.wait(tickets[k]);
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_TRUE(results[k].status.ok()) << results[k].status.message();
+    EXPECT_EQ(results[k].version, results[2].version)
+        << "a coalesced run lands as one protocol write";
+  }
+  EXPECT_TRUE(results[0].absorbed);
+  EXPECT_TRUE(results[1].absorbed);
+  EXPECT_FALSE(results[2].absorbed);
+  EXPECT_EQ(client.get_sync("hot").value.to_string(), "v2");
 }
 
-TEST(ClientConformance, CrashedHomeAndReaderMatchAcrossFlatAndSharded) {
-  auto script = [](KvClient& client, const std::function<void(ProcessId)>& crash_node,
-                   ProcessId home) {
-    std::vector<StatusCode> codes;
-    codes.push_back(
-        client.put_sync("key", Value::from_string("x")).status.code());
-    crash_node(home);
-    codes.push_back(
-        client.put_sync("key", Value::from_string("y")).status.code());
-    codes.push_back(client.get_sync("key", home).status.code());
-    codes.push_back(client.get_sync("key").status.code());  // rotates away
-    return codes;
-  };
+TEST(ClientConformance, KvCrashedHomeAndReader) {
+  auto store = make_sharded_store();
+  KvClient& client = store->client();
+  const auto at = store->router().place("key");
+  std::vector<StatusCode> codes;
+  codes.push_back(
+      client.put_sync("key", Value::from_string("x")).status.code());
+  store->crash(at.shard, at.home);
+  store->drain();  // crash applies between windows
+  codes.push_back(
+      client.put_sync("key", Value::from_string("y")).status.code());
+  codes.push_back(client.get_sync("key", at.home).status.code());
+  codes.push_back(client.get_sync("key").status.code());  // rotates away
   const std::vector<StatusCode> expected{
       StatusCode::kOk, StatusCode::kCrashed, StatusCode::kCrashed,
       StatusCode::kOk};
-
-  auto flat = make_flat_store();
-  const ProcessId flat_home = flat.home_node("key");
-  EXPECT_EQ(script(flat.client(),
-                   [&flat](ProcessId pid) { flat.crash(pid); }, flat_home),
-            expected);
-
-  auto sharded = make_sharded_store();
-  const auto at = sharded->router().place("key");
-  EXPECT_EQ(script(sharded->client(),
-                   [&sharded, &at](ProcessId pid) {
-                     sharded->crash(at.shard, pid);
-                     sharded->drain();  // crash applies between windows
-                   },
-                   at.home),
-            expected);
+  EXPECT_EQ(codes, expected);
 }
 
 TEST(ClientConformance, LivenessLossMatchesAcrossSimEngines) {
   // Crash beyond the budget (t = 1, two crashes): the sim-backed engines
-  // all report kLivenessLost instead of hanging or aborting.
+  // both report kLivenessLost instead of hanging or aborting.
   auto group = make_sim_group();
   group.crash(1);
   group.crash(2);
   const OpResult reg = group.client().write_sync(Value::from_int64(9));
   EXPECT_EQ(reg.status.code(), StatusCode::kLivenessLost);
-
-  auto flat = make_flat_store();
-  flat.crash(0);
-  flat.crash(1);
-  // Read at the surviving replica: no quorum can answer.
-  const OpResult kv = flat.client().get_sync("key", 2);
-  EXPECT_EQ(kv.status.code(), StatusCode::kLivenessLost);
 
   auto sharded = make_sharded_store();
   const auto at = sharded->router().place("key");

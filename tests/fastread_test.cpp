@@ -5,7 +5,6 @@
 
 #include "fastread/ohram_process.hpp"
 #include "fastread/time_efficient_process.hpp"
-#include "kvstore/kv_store.hpp"
 #include "kvstore/sharded_store.hpp"
 #include "workload/sim_register_group.hpp"
 #include "workload/sim_workload.hpp"
@@ -223,37 +222,8 @@ TEST(FastReadFallback, OhRamTakesWriteBackPathUnderContention) {
 
 // ---- the KV engine knob -----------------------------------------------------
 
-// Options::engine routes every slot of the stores through a fast-path read
+// Options::engine routes every slot of the store through a fast-path read
 // register instead of the two-bit default; per-key semantics are unchanged.
-TEST(FastReadKv, FlatStoreEngineKnobRoundtrips) {
-  for (const auto algo : fastread_algorithms()) {
-    KvStore::Options opt;
-    opt.n = 3;
-    opt.t = 1;
-    opt.slots = 4;
-    opt.engine = algo;
-    opt.initial = Value::from_int64(0);
-    KvStore store(std::move(opt));
-    KvClient& client = store.client();
-    // Keys hashing to one slot share a register (store semantics), so
-    // check each key right after its put and probe a distinct slot for
-    // the never-written read.
-    EXPECT_TRUE(client.put_sync("alpha", Value::from_int64(42)).status.ok())
-        << algorithm_name(algo);
-    const OpResult got = client.get_sync("alpha");
-    ASSERT_TRUE(got.status.ok()) << algorithm_name(algo);
-    EXPECT_EQ(got.value.to_int64(), 42) << algorithm_name(algo);
-    std::string untouched = "miss-0";
-    for (int k = 1; store.slot_of(untouched) == store.slot_of("alpha"); ++k) {
-      untouched = "miss-" + std::to_string(k);
-    }
-    const OpResult miss = client.get_sync(untouched);
-    ASSERT_TRUE(miss.status.ok()) << algorithm_name(algo);
-    EXPECT_EQ(miss.version, 0) << algorithm_name(algo);
-    EXPECT_EQ(miss.value.to_int64(), 0) << algorithm_name(algo);
-  }
-}
-
 TEST(FastReadKv, ShardedStoreEngineKnobRoundtrips) {
   for (const auto algo : fastread_algorithms()) {
     ShardedKvStore::Options opt;
@@ -265,6 +235,11 @@ TEST(FastReadKv, ShardedStoreEngineKnobRoundtrips) {
     opt.initial = Value::from_int64(0);
     ShardedKvStore store(std::move(opt));
     KvClient& client = store.client();
+    // Before any put, every key reads the initial value at version 0.
+    const OpResult miss = client.get_sync("never-written");
+    ASSERT_TRUE(miss.status.ok()) << algorithm_name(algo);
+    EXPECT_EQ(miss.version, 0) << algorithm_name(algo);
+    EXPECT_EQ(miss.value.to_int64(), 0) << algorithm_name(algo);
     // Read each key back right after its put: keys colliding onto one
     // slot share a register, so cross-key ordering is not per-key.
     for (int k = 0; k < 8; ++k) {

@@ -1,13 +1,14 @@
 // Sharded KV engine (src/kvstore): router placement, end-to-end store
-// semantics across shard boundaries, deterministic batching semantics at
-// the MuxProcess level (read coalescing, last-write-wins absorption, chain
-// order), and crash isolation between shards.
+// semantics across shard boundaries, crash isolation between shards, and
+// client polling. The mux layer below the store is in kvstore_test.cpp.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/twobit_codec.hpp"
 #include "kvstore/shard_router.hpp"
 #include "kvstore/sharded_store.hpp"
 
@@ -29,6 +30,14 @@ TEST(ShardRouter, PlacementIsStableAndConsistent) {
     EXPECT_LT(a.slot, 16u);
     EXPECT_EQ(a.home, a.slot % 3);
   }
+
+  // Homes spread over the group: 64 keys touch at least 4 of 5 replicas.
+  ShardRouter group(1, 16, 5);
+  std::set<ProcessId> homes;
+  for (int k = 0; k < 64; ++k) {
+    homes.insert(group.home_node("key-" + std::to_string(k)));
+  }
+  EXPECT_GE(homes.size(), 4u) << "64 keys should touch most homes";
 }
 
 // Regression: raw FNV-1a's high half is nearly constant for short similar
@@ -93,13 +102,18 @@ TEST(ShardedKvStore, SequentialOverwritesBumpVersions) {
   }
 }
 
-TEST(ShardedKvStore, KeysInDifferentShardsAreIndependent) {
-  ShardedKvStore store(small_store());
-  // Find two keys in different shards.
-  std::string a = "a-key", b;
+/// Writes to one key never touch another key's register: `b` is picked
+/// in a different shard when the store has several, else in a different
+/// slot of the single group.
+void expect_keys_independent(ShardedKvStore& store) {
+  const std::string a = "a-key";
+  const auto a_at = store.router().place(a);
+  std::string b;
   for (int k = 0; b.empty() && k < 1000; ++k) {
     const std::string candidate = "b-key-" + std::to_string(k);
-    if (store.router().shard_of(candidate) != store.router().shard_of(a)) {
+    const auto at = store.router().place(candidate);
+    if (store.shard_count() > 1 ? at.shard != a_at.shard
+                                : at.slot != a_at.slot) {
       b = candidate;
     }
   }
@@ -110,7 +124,16 @@ TEST(ShardedKvStore, KeysInDifferentShardsAreIndependent) {
   EXPECT_EQ(store.client().get_sync(a).value.to_string(), "va2");
   EXPECT_EQ(store.client().get_sync(a).version, 2);
   EXPECT_EQ(store.client().get_sync(b).value.to_string(), "vb");
-  EXPECT_EQ(store.client().get_sync(b).version, 1) << "b's shard never saw a's writes";
+  EXPECT_EQ(store.client().get_sync(b).version, 1)
+      << "b's register never saw a's writes";
+}
+
+TEST(ShardedKvStore, KeysInDifferentShardsAreIndependent) {
+  ShardedKvStore store(small_store());
+  expect_keys_independent(store);
+  // One group, two slots: distinct registers sharing one network.
+  ShardedKvStore single(small_store(/*shards=*/1));
+  expect_keys_independent(single);
 }
 
 TEST(ShardedKvStore, AsyncBurstResolvesEverythingLastValueWins) {
@@ -215,181 +238,39 @@ TEST(ShardedKvStore, ShardReportsAccumulate) {
   EXPECT_GT(store.frames_sent(), 0u);
   std::uint64_t shard_ops = 0;
   for (std::uint32_t s = 0; s < store.shard_count(); ++s) {
-    shard_ops += store.shard_report(s).batch.client_ops;
+    const auto report = store.shard_report(s);
+    shard_ops += report.batch.client_ops;
+    if (report.batch.client_ops == 0) continue;
+    // Every mux envelope carries its embedded register frame's control
+    // bits (2 for the two-bit algorithm); the slot tag rides as data.
+    EXPECT_EQ(report.net.max_control_bits_per_msg(),
+              TwoBitCodec::kControlBitsPerMessage)
+        << "shard " << s;
   }
   EXPECT_EQ(shard_ops, 20u);
 }
 
-// ---- deterministic batching semantics (direct MuxProcess batches) -----------
+// try_result polls without driving anything: a lone put sits below the
+// min_batch floor, so its window cannot open until a second op arrives.
+TEST(ShardedKvStore, TryResultPollsWithoutBlocking) {
+  auto opt = small_store(/*shards=*/1);
+  opt.min_batch = 2;
+  opt.min_batch_wait = std::chrono::seconds(10);
+  ShardedKvStore store(std::move(opt));
+  KvClient& client = store.client();
 
-struct BatchRig {
-  static constexpr std::uint32_t kN = 3;
-  static constexpr std::uint32_t kSlots = 4;
-  std::unique_ptr<SimNetwork> net;
-  BatchStats stats;
+  const Ticket put = client.put("polled", Value::from_int64(1));
+  OpResult put_result;
+  EXPECT_FALSE(client.try_result(put, put_result))
+      << "the window cannot open on one op";
 
-  BatchRig() {
-    auto slot_cfg = [](std::uint32_t slot) {
-      GroupConfig cfg;
-      cfg.n = kN;
-      cfg.t = 1;
-      cfg.writer = slot % kN;
-      cfg.initial = Value::from_string("v0");
-      cfg.validate();
-      return cfg;
-    };
-    std::vector<std::unique_ptr<ProcessBase>> processes;
-    for (ProcessId pid = 0; pid < kN; ++pid) {
-      processes.push_back(
-          std::make_unique<MuxProcess>(kSlots, slot_cfg, pid));
-    }
-    net = std::make_unique<SimNetwork>(std::move(processes),
-                                       SimNetwork::Options{});
-  }
-
-  MuxProcess& mux(ProcessId pid) { return net->process_as<MuxProcess>(pid); }
-
-  /// Run one batch at `node` to completion; returns false on stall.
-  bool run(ProcessId node, std::vector<MuxProcess::BatchOp> ops,
-           bool coalesce) {
-    bool done = false;
-    mux(node).start_batch(net->context(node), std::move(ops), coalesce,
-                          [&done] { done = true; }, &stats);
-    return net->run_until([&done] { return done; });
-  }
-};
-
-TEST(MuxBatch, ConsecutiveReadsShareOneProtocolRound) {
-  BatchRig rig;
-  std::vector<MuxProcess::BatchOp> ops;
-  std::vector<std::pair<std::string, SeqNo>> results;
-  for (int k = 0; k < 5; ++k) {
-    MuxProcess::BatchOp op;
-    op.slot = 1;
-    op.read_done = [&results](const Value& v, SeqNo index) {
-      results.emplace_back(v.to_string(), index);
-    };
-    ops.push_back(std::move(op));
-  }
-  ASSERT_TRUE(rig.run(2, std::move(ops), true));
-  ASSERT_EQ(results.size(), 5u);
-  for (const auto& [value, index] : results) {
-    EXPECT_EQ(value, "v0");
-    EXPECT_EQ(index, 0);
-  }
-  EXPECT_EQ(rig.stats.protocol_reads, 1u);
-  EXPECT_EQ(rig.stats.coalesced_reads, 4u);
-  // One two-bit read round: 2(n-1) frames, nothing per extra client.
-  EXPECT_EQ(rig.net->stats().total_sent(), 2u * (BatchRig::kN - 1));
-}
-
-TEST(MuxBatch, WriteRunCollapsesLastWriteWins) {
-  BatchRig rig;
-  const std::uint32_t slot = 0;  // homed at p0
-  std::vector<MuxProcess::BatchOp> ops;
-  std::vector<std::pair<SeqNo, bool>> outcomes;
-  for (int k = 1; k <= 3; ++k) {
-    MuxProcess::BatchOp op;
-    op.slot = slot;
-    op.is_write = true;
-    op.value = Value::from_int64(k * 10);
-    op.write_done = [&outcomes](SeqNo version, bool absorbed) {
-      outcomes.emplace_back(version, absorbed);
-    };
-    ops.push_back(std::move(op));
-  }
-  ASSERT_TRUE(rig.run(0, std::move(ops), true));
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(outcomes[0], (std::pair<SeqNo, bool>{1, true}));
-  EXPECT_EQ(outcomes[1], (std::pair<SeqNo, bool>{1, true}));
-  EXPECT_EQ(outcomes[2], (std::pair<SeqNo, bool>{1, false}));
-  EXPECT_EQ(rig.stats.protocol_writes, 1u);
-  EXPECT_EQ(rig.stats.absorbed_writes, 2u);
-
-  // Only the surviving value ever reached the register.
-  Value read_value;
-  SeqNo read_index = -1;
-  std::vector<MuxProcess::BatchOp> reads(1);
-  reads[0].slot = slot;
-  reads[0].read_done = [&](const Value& v, SeqNo index) {
-    read_value = v;
-    read_index = index;
-  };
-  ASSERT_TRUE(rig.run(1, std::move(reads), true));
-  EXPECT_EQ(read_value.to_int64(), 30);
-  EXPECT_EQ(read_index, 1);
-}
-
-TEST(MuxBatch, ReadBetweenWritesSplitsTheRun) {
-  BatchRig rig;
-  const std::uint32_t slot = 0;
-  std::vector<MuxProcess::BatchOp> ops(3);
-  SeqNo mid_read_index = -1;
-  std::int64_t mid_read_value = 0;
-  ops[0].slot = slot;
-  ops[0].is_write = true;
-  ops[0].value = Value::from_int64(1);
-  ops[1].slot = slot;
-  ops[1].read_done = [&](const Value& v, SeqNo index) {
-    mid_read_value = v.to_int64();
-    mid_read_index = index;
-  };
-  ops[2].slot = slot;
-  ops[2].is_write = true;
-  ops[2].value = Value::from_int64(2);
-  ASSERT_TRUE(rig.run(0, std::move(ops), true));
-  // Arrival order is preserved: the read sits between the writes, so the
-  // writes cannot coalesce across it and the read sees exactly write 1.
-  EXPECT_EQ(rig.stats.protocol_writes, 2u);
-  EXPECT_EQ(rig.stats.absorbed_writes, 0u);
-  EXPECT_EQ(mid_read_value, 1);
-  EXPECT_EQ(mid_read_index, 1);
-}
-
-TEST(MuxBatch, CoalesceOffPipelinesEveryWrite) {
-  BatchRig rig;
-  std::vector<MuxProcess::BatchOp> ops;
-  std::vector<SeqNo> versions;
-  for (int k = 1; k <= 4; ++k) {
-    MuxProcess::BatchOp op;
-    op.slot = 0;
-    op.is_write = true;
-    op.value = Value::from_int64(k);
-    op.write_done = [&versions](SeqNo version, bool absorbed) {
-      EXPECT_FALSE(absorbed);
-      versions.push_back(version);
-    };
-    ops.push_back(std::move(op));
-  }
-  ASSERT_TRUE(rig.run(0, std::move(ops), false));
-  EXPECT_EQ(versions, (std::vector<SeqNo>{1, 2, 3, 4}));
-  EXPECT_EQ(rig.stats.protocol_writes, 4u);
-  EXPECT_EQ(rig.stats.absorbed_writes, 0u);
-}
-
-TEST(MuxBatch, ChainsForDistinctSlotsInterleave) {
-  BatchRig rig;
-  // Writes to slot 0 (home p0) and reads of slot 3 (home p0 as 3 % 3)
-  // issued at p0 in one batch: distinct registers, both complete.
-  std::vector<MuxProcess::BatchOp> ops(4);
-  int reads_done = 0;
-  ops[0].slot = 0;
-  ops[0].is_write = true;
-  ops[0].value = Value::from_int64(7);
-  ops[1].slot = 3;
-  ops[1].read_done = [&](const Value&, SeqNo) { ++reads_done; };
-  ops[2].slot = 0;
-  ops[2].is_write = true;
-  ops[2].value = Value::from_int64(8);
-  ops[3].slot = 3;
-  ops[3].read_done = [&](const Value&, SeqNo) { ++reads_done; };
-  ASSERT_TRUE(rig.run(0, std::move(ops), true));
-  EXPECT_EQ(reads_done, 2);
-  // Slot 0's two writes were adjacent in ITS chain (the slot-3 reads live
-  // in a different chain), so they coalesced.
-  EXPECT_EQ(rig.stats.protocol_writes, 1u);
-  EXPECT_EQ(rig.stats.absorbed_writes, 1u);
-  EXPECT_EQ(rig.stats.coalesced_reads, 1u);
+  const Ticket get = client.get("other");
+  store.drain();
+  OpResult get_result;
+  ASSERT_TRUE(client.try_result(put, put_result));
+  EXPECT_TRUE(put_result.status.ok()) << put_result.status.message();
+  ASSERT_TRUE(client.try_result(get, get_result));
+  EXPECT_TRUE(get_result.status.ok()) << get_result.status.message();
 }
 
 }  // namespace

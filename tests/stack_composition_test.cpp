@@ -1,18 +1,21 @@
 // Full-stack composition: the layers are independent and stack freely.
 //
-//   KvStore -> MuxProcess -> ReliableLinkProcess -> TwoBitProcess
+//   ShardedKvStore -> MuxProcess -> ReliableLinkProcess -> TwoBitProcess
 //                                -> lossy non-FIFO simulated channels
 //
-// Each layer was verified in isolation (kvstore_test, link_test,
-// twobit_*); this suite checks the *product*: a sharded replicated store
-// that stays correct and live while the network drops 10% of all frames —
-// and the same stack with ABD underneath, since every layer is
-// algorithm-agnostic.
+// Each layer was verified in isolation (kvstore_test, sharded_store_test,
+// link_test, twobit_*); this suite checks the *product*: multiplexed
+// registers that stay correct and live while the network drops 10% of all
+// frames — with ABD underneath too, since every layer is
+// algorithm-agnostic — and the whole store -> mux -> link -> register
+// stack driven end to end.
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "abd/specs.hpp"
 #include "core/twobit_process.hpp"
-#include "kvstore/kv_store.hpp"
+#include "kvstore/sharded_store.hpp"
 #include "link/reliable_link.hpp"
 #include "workload/algorithms.hpp"
 #include "workload/sim_workload.hpp"
@@ -27,26 +30,59 @@ MuxProcess::SlotFactory linked_factory(Algorithm algo) {
   };
 }
 
+/// One n-node group of MuxProcesses on a bare simulator; slot s is
+/// written at node s mod n. Operations run one at a time to completion.
+struct MuxRig {
+  std::uint32_t n;
+  std::unique_ptr<SimNetwork> net;
+
+  MuxRig(std::uint32_t nodes, std::uint32_t t, std::uint32_t slots,
+         const MuxProcess::SlotFactory& factory, SimNetwork::Options options)
+      : n(nodes),
+        net(std::make_unique<SimNetwork>(
+            make_mux_group(nodes, t, slots, Value(), factory),
+            std::move(options))) {}
+
+  MuxProcess& mux(ProcessId pid) { return net->process_as<MuxProcess>(pid); }
+
+  bool write(std::uint32_t slot, Value v) {
+    const ProcessId home = slot % n;
+    bool done = false;
+    mux(home).start_write(net->context(home), slot, std::move(v),
+                          [&done] { done = true; });
+    return net->run_until([&done] { return done; });
+  }
+
+  Value read(std::uint32_t slot, ProcessId reader) {
+    bool done = false;
+    Value out;
+    mux(reader).start_read(net->context(reader), slot,
+                           [&](const Value& v, SeqNo) {
+                             out = v;
+                             done = true;
+                           });
+    EXPECT_TRUE(net->run_until([&done] { return done; }));
+    return out;
+  }
+};
+
 class StackedStore : public testing::TestWithParam<Algorithm> {};
 
 TEST_P(StackedStore, KvOverLinkOverLossyChannels) {
-  KvStore::Options opt;
-  opt.n = 5;
-  opt.t = 2;
-  opt.slots = 8;
+  SimNetwork::Options opt;
   opt.seed = 31;
   opt.loss_rate = 0.10;  // the link layer underneath must absorb this
-  opt.register_factory = linked_factory(GetParam());
-  opt.initial = Value::from_string("?");
-  KvStore store(std::move(opt));
+  MuxRig rig(/*nodes=*/5, /*t=*/2, /*slots=*/8, linked_factory(GetParam()),
+             std::move(opt));
 
   for (int k = 1; k <= 6; ++k) {
-    store.client().put_sync("k" + std::to_string(k % 3), Value::from_int64(k));
+    ASSERT_TRUE(rig.write(static_cast<std::uint32_t>(k % 3),
+                          Value::from_int64(k)));
   }
-  EXPECT_EQ(store.client().get_sync("k0", 1).value.to_int64(), 6);
-  EXPECT_EQ(store.client().get_sync("k1", 2).value.to_int64(), 4);
-  EXPECT_EQ(store.client().get_sync("k2", 3).value.to_int64(), 5);
-  EXPECT_GT(store.net().frames_lost(), 0u)
+  EXPECT_EQ(rig.read(0, 1).to_int64(), 6);
+  EXPECT_EQ(rig.read(1, 2).to_int64(), 4);
+  EXPECT_EQ(rig.read(2, 3).to_int64(), 5);
+  EXPECT_GT(rig.net->frames_lost(), 0u)
       << "the sweep must actually have exercised loss";
 }
 
@@ -90,23 +126,36 @@ TEST(StackComposition, RegisterOverLinkUnderLossBothAlgorithms) {
 }
 
 TEST(StackComposition, DoubleDecorationLinkUnderMux) {
-  // Mux of link-wrapped registers on ONE network: protocol frames travel
-  // as link payloads inside mux envelopes; two layers of wrapping must
-  // still deliver exactly-once per slot stream.
-  KvStore::Options opt;
+  // The store over a mux of link-wrapped registers on ONE network:
+  // protocol frames travel as link payloads inside mux envelopes; two
+  // layers of wrapping must still deliver exactly-once per slot stream.
+  ShardedKvStore::Options opt;
+  opt.shards = 1;
   opt.n = 3;
   opt.t = 1;
-  opt.slots = 4;
+  opt.slots_per_shard = 4;
   opt.register_factory = linked_factory(Algorithm::kTwoBit);
-  KvStore store(std::move(opt));
+  ShardedKvStore store(std::move(opt));
+
+  // Four keys on four distinct registers, so every version counts one
+  // key's writes only.
+  std::vector<std::string> keys;
+  std::set<std::uint32_t> slots;
+  for (int i = 0; keys.size() < 4; ++i) {
+    std::string key = "key" + std::to_string(i);
+    if (slots.insert(store.router().slot_of(key)).second) {
+      keys.push_back(std::move(key));
+    }
+  }
   for (int round = 1; round <= 5; ++round) {
     for (int k = 0; k < 4; ++k) {
-      store.client().put_sync("key" + std::to_string(k),
-                Value::from_int64(round * 10 + k));
+      EXPECT_TRUE(store.client()
+                      .put_sync(keys[k], Value::from_int64(round * 10 + k))
+                      .status.ok());
     }
   }
   for (int k = 0; k < 4; ++k) {
-    const auto got = store.client().get_sync("key" + std::to_string(k), 1);
+    const auto got = store.client().get_sync(keys[k], 1);
     EXPECT_EQ(got.value.to_int64(), 50 + k);
     EXPECT_EQ(got.version, 5);
   }
