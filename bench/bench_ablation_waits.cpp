@@ -17,16 +17,13 @@
 namespace tbr::bench {
 namespace {
 
-using Factory = std::function<std::unique_ptr<RegisterProcessBase>(
-    const GroupConfig&, ProcessId)>;
-
 struct AblationResult {
   CheckStats stats;
   double read_p50 = 0;  // in Δ
   std::uint64_t msgs_per_read = 0;
 };
 
-AblationResult sweep(const Factory& factory, int seeds) {
+AblationResult sweep(const RegisterFactory& factory, int seeds) {
   AblationResult out;
   Histogram lat;
   std::uint64_t reads = 0;
@@ -69,7 +66,7 @@ AblationResult sweep(const Factory& factory, int seeds) {
   return out;
 }
 
-Factory twobit(TwoBitOptions options) {
+RegisterFactory twobit(TwoBitOptions options) {
   return [options](const GroupConfig& cfg, ProcessId pid) {
     return std::make_unique<TwoBitProcess>(cfg, pid, options);
   };

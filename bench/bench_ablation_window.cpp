@@ -42,8 +42,8 @@ WindowRow measure(std::size_t window, Tick slow_factor) {
 
   WindowRow row;
   bool read_done = false;
-  group.begin_read(n - 1,
-                   [&read_done](const Value&, SeqNo) { read_done = true; });
+  group.client().read(n - 1,
+                      [&read_done](const OpResult&) { read_done = true; });
   group.net().run();
 
   const auto& straggler = group.net().process_as<TwoBitProcess>(n - 1);

@@ -13,7 +13,7 @@
 //   2. sim closed loop   — whole-run events/sec and allocs/event for a
 //      closed-loop write/read mix (wall clock: reported, never gated).
 //   3. threaded runtime  — allocations per sent frame across a window of
-//      client operations on real threads, via the raw callback path.
+//      client operations on real threads, in client callback mode.
 //      Gated against the recorded pre-optimization baseline.
 //   4. ticket allocs/op  — the unified client API: closed loops through
 //      RegisterClient (sim + threaded, gated == 0; socket over loopback
@@ -160,7 +160,7 @@ struct ThreadedResult {
   std::uint64_t allocs = 0;
 };
 
-// Reusable one-shot completion latch for the raw callback API: the lambda
+// Reusable one-shot completion latch for client callback mode: the lambda
 // captures one pointer, so the whole op round-trip allocates only what the
 // runtime itself allocates (the quantity under test).
 class OpLatch {
@@ -186,9 +186,8 @@ class OpLatch {
 
 enum class ThreadedApi { kCallbacks, kTickets };
 
-// Closed loop on the threaded runtime through its two client surfaces.
-// Callbacks are the raw fast path, tickets the unified convenience API
-// (both gated). The ticket window applies the same history-chunk
+// Closed loop on the threaded runtime through the two client completion
+// shapes: callback mode (client.write(v, cb)) and tickets (both gated). The ticket window applies the same history-chunk
 // discipline as measure_sim_tickets (writes are 1 op in 4; windows stay
 // inside the warmed chunk), so its == 0 criterion measures the client
 // path alone; the callback windows keep the historical 50% write mix and
@@ -218,17 +217,16 @@ ThreadedResult measure_threaded(std::uint32_t n, std::uint32_t window_ops,
           (void)client.read_sync(reader);
         }
         return;
-      case ThreadedApi::kCallbacks:
+      case ThreadedApi::kCallbacks: {
+        const auto signal = [&latch](const OpResult&) { latch.signal(); };
         if (is_write) {
-          net.write_async(Value::from_int64(k),
-                          [&latch](Tick, Status) { latch.signal(); });
+          client.write(Value::from_int64(k), signal);
         } else {
-          net.read_async(reader, [&latch](const ReadResultT&, Status) {
-            latch.signal();
-          });
+          client.read(reader, signal);
         }
         latch.wait();
         return;
+      }
     }
   };
 

@@ -17,7 +17,8 @@
 #include "bench_common.hpp"
 
 #include "transport/socket_capacity.hpp"
-#include "transport/socket_workload.hpp"
+#include "transport/socket_network.hpp"
+#include "workload/live_workload.hpp"
 
 namespace tbr::bench {
 namespace {
@@ -98,14 +99,15 @@ void run_live_engine() {
   TextTable table({"loops", "ops", "wall ms", "ops/sec", "park events",
                    "resume events"});
   for (const std::uint32_t loops : {1u, 4u}) {
-    SocketWorkloadOptions opt;
+    SocketNetwork::Options opt;
     opt.cfg.n = 5;
     opt.cfg.t = 2;
     opt.cfg.writer = 0;
-    opt.ops_per_process = quick_mode() ? 60 : 200;
     opt.loops = loops;
+    SocketNetwork net(opt);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto r = run_socket_workload(opt);
+    const auto r = run_live_workload(
+        net, {.ops_per_process = quick_mode() ? 60u : 200u});
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -114,12 +116,13 @@ void run_live_engine() {
       std::cout << "ATOMICITY VIOLATION: " << check.error << "\n";
       std::exit(1);
     }
+    const auto backpressure = net.backpressure_snapshot();
     table.add_row(
         {format_count(loops), format_count(r.completed_by_correct),
          format_double(wall * 1e3, 1),
          format_double(wall > 0 ? r.completed_by_correct / wall : 0.0, 0),
-         format_count(r.backpressure.park_events),
-         format_count(r.backpressure.resume_events)});
+         format_count(backpressure.park_events),
+         format_count(backpressure.resume_events)});
   }
   std::cout << table.render() << "\n";
 }

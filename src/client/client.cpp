@@ -128,26 +128,39 @@ bool ClientBase::try_result(Ticket t, OpResult& out) {
 
 // ---- RegisterClient ----------------------------------------------------------
 
-RegisterClient::RegisterClient(RegisterClientEngine& engine)
-    : ClientBase(/*serialize_per_node=*/true), engine_(engine) {
-  init_chains(engine.client_nodes());
+RegisterClient::RegisterClient(RegisterClientEngine& engine, std::uint32_t n,
+                               ProcessId writer)
+    : ClientBase(/*serialize_per_node=*/true),
+      engine_(engine),
+      n_(n),
+      writer_(writer) {
+  init_chains(n);
+}
+
+ProcessId RegisterClient::pick_reader() {
+  for (std::uint32_t tries = 0; tries < n_; ++tries) {
+    const ProcessId r = static_cast<ProcessId>(
+        next_reader_.fetch_add(1, std::memory_order_relaxed) % n_);
+    if (!engine_.client_crashed(r)) return r;
+  }
+  return 0;
 }
 
 Ticket RegisterClient::write(Value v, OpCallback cb) {
   OpState& st = fresh_op();
   st.kind = OpKind::kWrite;
-  st.node = engine_.client_writer();
+  st.node = writer_;
   st.value = std::move(v);
   st.callback = std::move(cb);
   return dispatch(st);
 }
 
 Ticket RegisterClient::read(ProcessId reader, OpCallback cb) {
-  TBR_ENSURE(reader == kAnyReplica || reader < engine_.client_nodes(),
+  TBR_ENSURE(reader == kAnyReplica || reader < n_,
              "reader id out of range");
   OpState& st = fresh_op();
   st.kind = OpKind::kRead;
-  st.node = reader == kAnyReplica ? engine_.client_pick_reader() : reader;
+  st.node = reader == kAnyReplica ? pick_reader() : reader;
   st.callback = std::move(cb);
   return dispatch(st);
 }

@@ -26,7 +26,10 @@
 //
 // Engines plug in via the small *ClientEngine interfaces below; the
 // facades (SimRegisterGroup, ThreadNetwork, SocketNetwork, ShardedKvStore)
-// each expose a client() backed by their implementation.
+// each expose a client() backed by their implementation, and client() is
+// the only way an operation enters any of them. The register engines
+// supply only issue, park and a crashed query: writer routing and
+// kAnyReplica rotation live once, in RegisterClient.
 #pragma once
 
 #include <atomic>
@@ -136,47 +139,25 @@ struct RegisterOp {
   ProcessId reader = kAnyReplica; ///< reads: replica (kAnyReplica = rotate)
 };
 
-/// Round-robin live-replica rotation for kAnyReplica reads, shared by
-/// the engines' client_pick_reader implementations. Falls back to
-/// replica 0 when every replica looks crashed (the op then fails with
-/// kCrashed at issue). Safe from any thread; on the single-threaded sim
-/// engine the relaxed counter degenerates to a plain increment, so the
-/// rotation sequence stays deterministic.
-class ReaderRotor {
- public:
-  template <typename CrashedFn>
-  ProcessId pick(std::uint32_t n, CrashedFn&& crashed) {
-    for (std::uint32_t tries = 0; tries < n; ++tries) {
-      const ProcessId r = static_cast<ProcessId>(
-          next_.fetch_add(1, std::memory_order_relaxed) % n);
-      if (!crashed(r)) return r;
-    }
-    return 0;
-  }
-
- private:
-  std::atomic<std::uint32_t> next_{0};
-};
-
 /// What a runtime facade implements to host a RegisterClient.
 class RegisterClientEngine {
  public:
   virtual ~RegisterClientEngine() = default;
-  virtual std::uint32_t client_nodes() const = 0;
-  virtual ProcessId client_writer() const = 0;
-  /// Rotate over live-looking replicas for kAnyReplica reads.
-  virtual ProcessId client_pick_reader() = 0;
   /// Issue `st` into the runtime; on completion fill st.result and call
   /// st.owner->complete(st).
   virtual void client_issue(OpState& st) = 0;
   /// Block until st.ready: drive the event loop (sim) or park on the pool
   /// (threads). On a failed drive, fill st.result.status and return.
   virtual void client_park(OpState& st, OpPool& pool) = 0;
+  /// Whether `pid` looks crashed (steers kAnyReplica reads away from it).
+  virtual bool client_crashed(ProcessId pid) const = 0;
 };
 
 class RegisterClient final : public ClientBase {
  public:
-  explicit RegisterClient(RegisterClientEngine& engine);
+  /// A client of the `n`-process group whose single writer is `writer`.
+  RegisterClient(RegisterClientEngine& engine, std::uint32_t n,
+                 ProcessId writer);
 
   /// Start REG.write(v) at the group's writer.
   Ticket write(Value v, OpCallback cb = {});
@@ -199,7 +180,17 @@ class RegisterClient final : public ClientBase {
   void engine_park(OpState& st) override { engine_.client_park(st, pool_); }
 
  private:
+  /// Round-robin over live-looking replicas for kAnyReplica reads. Falls
+  /// back to replica 0 when every replica looks crashed (the op then fails
+  /// with kCrashed at issue). Safe from any thread; on the single-threaded
+  /// sim engine the relaxed counter degenerates to a plain increment, so
+  /// the rotation sequence stays deterministic.
+  ProcessId pick_reader();
+
   RegisterClientEngine& engine_;
+  std::uint32_t n_;
+  ProcessId writer_;
+  std::atomic<std::uint32_t> next_reader_{0};
 };
 
 // ---- the key-value client ----------------------------------------------------

@@ -21,7 +21,8 @@ enum class StatusCode : std::uint8_t {
   /// The operation's target process (writer, reader, or a key's home
   /// replica) has crashed; the op failed before or instead of completing.
   kCrashed,
-  /// The engine was stopped (or destroyed) before the op could complete.
+  /// The engine was stopped (or destroyed) before the op could complete,
+  /// or had not been started when the op was submitted.
   kShutdown,
   /// The op's register group can no longer assemble quorums (more than t
   /// crashes, or a stalled batch); the engine refuses or abandons ops.

@@ -57,7 +57,7 @@ class MuxProcess::SlotContext final : public NetworkContext {
 
 MuxProcess::MuxProcess(std::uint32_t slots,
                        std::function<GroupConfig(std::uint32_t)> slot_cfg,
-                       ProcessId self, SlotFactory factory)
+                       ProcessId self, RegisterFactory factory)
     : self_(self) {
   TBR_ENSURE(slots >= 1, "mux needs at least one slot");
   TBR_ENSURE(slot_cfg != nullptr, "mux needs a slot config source");
@@ -278,7 +278,7 @@ std::uint64_t MuxProcess::local_memory_bytes() const {
 
 std::vector<std::unique_ptr<ProcessBase>> make_mux_group(
     std::uint32_t n, std::uint32_t t, std::uint32_t slots,
-    const Value& initial, const MuxProcess::SlotFactory& factory) {
+    const Value& initial, const RegisterFactory& factory) {
   auto slot_cfg = [n, t, initial](std::uint32_t slot) {
     GroupConfig cfg;
     cfg.n = n;

@@ -56,16 +56,13 @@ struct BatchStats {
 
 class MuxProcess final : public ProcessBase {
  public:
-  using SlotFactory = std::function<std::unique_ptr<RegisterProcessBase>(
-      const GroupConfig&, ProcessId)>;
-
   /// Create `slots` register instances at node `self`. `slot_cfg(slot)`
   /// gives each slot's group config (writer assignment varies per slot);
   /// `factory` builds the per-slot register (default: the two-bit
   /// algorithm).
   MuxProcess(std::uint32_t slots,
              std::function<GroupConfig(std::uint32_t)> slot_cfg,
-             ProcessId self, SlotFactory factory = {});
+             ProcessId self, RegisterFactory factory = {});
   ~MuxProcess() override;
 
   void on_start(NetworkContext& net) override;
@@ -189,6 +186,6 @@ class MuxProcess final : public ProcessBase {
 std::vector<std::unique_ptr<ProcessBase>> make_mux_group(
     std::uint32_t n, std::uint32_t t, std::uint32_t slots,
     const Value& initial = Value(),
-    const MuxProcess::SlotFactory& factory = {});
+    const RegisterFactory& factory = {});
 
 }  // namespace tbr

@@ -77,7 +77,7 @@ class ShardedKvStore {
     /// Per-slot register engine when `register_factory` is unset
     /// (two-bit default, or a fast-path read engine for 3Δ/2Δ gets).
     Algorithm engine = Algorithm::kTwoBit;
-    MuxProcess::SlotFactory register_factory;  ///< overrides `engine`
+    RegisterFactory register_factory;  ///< overrides `engine`
   };
 
   /// Replica selector for gets: rotate over the shard's live-looking nodes.

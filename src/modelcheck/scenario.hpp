@@ -38,9 +38,7 @@ struct Scenario {
   GroupConfig cfg;
 
   /// Process constructor; defaults to the faithful two-bit algorithm.
-  std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                     ProcessId)>
-      factory;
+  RegisterFactory factory;
 
   std::vector<McOp> ops;
 
@@ -59,9 +57,7 @@ struct Scenario {
   /// crash-during-GC and checkpoint/catch-up race within the budget is
   /// enumerated. Requires recover_factory when non-zero.
   std::uint32_t max_recoveries = 0;
-  std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                     ProcessId)>
-      recover_factory;
+  RegisterFactory recover_factory;
 
   /// Run the two-bit lemma invariants after every step (requires processes
   /// to be TwoBitProcess instances; automatically skipped otherwise).

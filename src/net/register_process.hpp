@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "common/contracts.hpp"
 #include "common/ids.hpp"
@@ -77,5 +78,10 @@ class RegisterProcessBase : public ProcessBase {
  private:
   bool op_in_progress_ = false;
 };
+
+/// Builds process `pid` of the group `cfg`: how every runtime, the model
+/// checker and the keyspace mux are told which register to run.
+using RegisterFactory = std::function<std::unique_ptr<RegisterProcessBase>(
+    const GroupConfig& cfg, ProcessId pid)>;
 
 }  // namespace tbr

@@ -28,10 +28,9 @@
 #include <variant>
 #include <vector>
 
-#include "client/status.hpp"
 #include "common/ids.hpp"
-#include "common/value.hpp"
 #include "net/message.hpp"
+#include "net/register_process.hpp"
 
 namespace tbr {
 
@@ -46,43 +45,24 @@ struct DeliverEnvelope {
   std::uint32_t epoch = 0;
 };
 
-/// Completion callbacks for the client fast path. `status` is the client
-/// layer's uniform outcome type (ok / crashed / shut down; see
-/// client/status.hpp) built from static strings — no allocation. Callbacks
-/// run on the owning process's thread; captures up to two pointers stay
-/// inside std::function's inline storage, so a lean caller pays no
-/// allocation per operation.
-struct ReadResultT {
-  Value value;
-  SeqNo index = -1;
-  Tick latency = 0;
-};
-using WriteCallback = std::function<void(Tick latency_ns, Status status)>;
-using ReadCallback =
-    std::function<void(const ReadResultT& result, Status status)>;
+struct OpState;
 
-/// Client request: start a write on this (writer) process.
-struct WriteEnvelope {
-  Value value;
-  WriteCallback done;
-};
-
-/// Client request: start a read on this process.
-struct ReadEnvelope {
-  ReadCallback done;
+/// Client request: start the pooled operation `*op` on this process. The
+/// process thread completes it directly (op->owner->complete), with a
+/// uniform Status on the crash and shutdown paths.
+struct OpEnvelope {
+  OpState* op = nullptr;
 };
 
 /// Crash marker: the process stops handling everything at this point.
 struct CrashEnvelope {};
-
-class RegisterProcessBase;
 
 /// Rejoin marker: replace the crashed process with a fresh incarnation
 /// built by `make` (run on the loop thread, so the new process is
 /// constructed where it will live). Handled even while crashed — it is the
 /// one envelope that ends the crashed state.
 struct RecoverEnvelope {
-  std::function<std::unique_ptr<RegisterProcessBase>()> make;
+  RegisterFactory make;
 };
 
 /// Timer expiry (NetworkContext::schedule): run `fn` on the process thread.
@@ -90,15 +70,15 @@ struct TimerEnvelope {
   std::function<void()> fn;
 };
 
-using Envelope = std::variant<DeliverEnvelope, WriteEnvelope, ReadEnvelope,
-                              CrashEnvelope, RecoverEnvelope, TimerEnvelope>;
+using Envelope = std::variant<DeliverEnvelope, OpEnvelope, CrashEnvelope,
+                              RecoverEnvelope, TimerEnvelope>;
 
 template <typename T>
 class MailboxT {
  public:
   /// Enqueue; returns false if the box has been closed (shutdown). Takes an
   /// rvalue and moves from it only on success, so a rejected item — e.g. an
-  /// envelope carrying a completion callback — is still intact for the
+  /// envelope carrying a client operation — is still intact for the
   /// caller's failure handling.
   bool push(T&& item) {
     {

@@ -4,9 +4,6 @@
 #include <atomic>
 #include <utility>
 
-#include "core/twobit_process.hpp"
-#include "runtime/affinity.hpp"
-
 namespace tbr {
 
 using Clock = std::chrono::steady_clock;
@@ -15,6 +12,8 @@ namespace {
 constexpr Status kCrashedStatus{StatusCode::kCrashed, "process has crashed"};
 constexpr Status kShutdownStatus{StatusCode::kShutdown,
                                  "network is shut down"};
+constexpr Status kNotStartedStatus{StatusCode::kShutdown,
+                                   "network is not started"};
 }  // namespace
 
 // ---- ProcessHost: one process, its mailbox, its thread ----------------------
@@ -51,6 +50,12 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
     while (auto env = mailbox_.pop(st)) {
       handle(std::move(*env));
     }
+    // Shutdown: the op still in the protocol will never complete. Fail it;
+    // its chained successors then bounce off the closed mailboxes.
+    if (pending_op_ != nullptr) {
+      OpState& op = take_pending();
+      op.owner->complete_failed(op, kShutdownStatus);
+    }
   }
 
  private:
@@ -70,11 +75,8 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
   }
 
   static void fail_if_request(Envelope& env) {
-    if (auto* w = std::get_if<WriteEnvelope>(&env)) {
-      w->done(0, kCrashedStatus);
-    }
-    if (auto* r = std::get_if<ReadEnvelope>(&env)) {
-      r->done(ReadResultT{}, kCrashedStatus);
+    if (auto* o = std::get_if<OpEnvelope>(&env)) {
+      o->op->owner->complete_failed(*o->op, kCrashedStatus);
     }
   }
 
@@ -96,25 +98,27 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
     proc_->on_message(*this, e.from, inbound_);
   }
 
-  void handle_one(WriteEnvelope e) {
-    const Tick start = net_.now();
-    pending_write_ = std::move(e.done);
-    // {this, start} fits std::function's inline storage: no allocation.
-    proc_->start_write(*this, std::move(e.value), [this, start] {
-      const WriteCallback done = std::move(pending_write_);
-      pending_write_ = nullptr;
-      if (done) done(net_.now() - start, Status());
-    });
-  }
-
-  void handle_one(ReadEnvelope e) {
-    const Tick start = net_.now();
-    pending_read_ = std::move(e.done);
-    proc_->start_read(*this, [this, start](const Value& v, SeqNo index) {
-      const ReadCallback done = std::move(pending_read_);
-      pending_read_ = nullptr;
-      if (done) done(ReadResultT{v, index, net_.now() - start}, Status());
-    });
+  void handle_one(OpEnvelope e) {
+    OpState& st = *e.op;
+    st.start = net_.now();
+    pending_op_ = &st;
+    // The completions capture only `this`: std::function inline storage,
+    // no allocation.
+    if (st.kind == OpKind::kWrite) {
+      proc_->start_write(*this, std::move(st.value), [this] {
+        OpState& op = take_pending();
+        op.result.latency = net_.now() - op.start;
+        op.owner->complete(op);
+      });
+    } else {
+      proc_->start_read(*this, [this](const Value& v, SeqNo index) {
+        OpState& op = take_pending();
+        op.result.value = v;  // copy into the pooled capacity
+        op.result.version = index;
+        op.result.latency = net_.now() - op.start;
+        op.owner->complete(op);
+      });
+    }
   }
 
   void handle_one(CrashEnvelope) {
@@ -122,16 +126,10 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
     proc_->on_crash();
     // The model says a faulty process's last operation may never take
     // effect (§2.2); its *client* still must not wait forever. Fail the
-    // in-flight op's completion — the algorithm will never complete it.
-    if (pending_write_) {
-      const WriteCallback done = std::move(pending_write_);
-      pending_write_ = nullptr;
-      done(0, kCrashedStatus);
-    }
-    if (pending_read_) {
-      const ReadCallback done = std::move(pending_read_);
-      pending_read_ = nullptr;
-      done(ReadResultT{}, kCrashedStatus);
+    // in-flight op — the algorithm will never complete it.
+    if (pending_op_ != nullptr) {
+      OpState& op = take_pending();
+      op.owner->complete_failed(op, kCrashedStatus);
     }
   }
 
@@ -143,7 +141,7 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
       net_.chan_epoch(pid_, peer).fetch_add(1, std::memory_order_release);
       net_.chan_epoch(peer, pid_).fetch_add(1, std::memory_order_release);
     }
-    proc_ = e.make();
+    proc_ = e.make(net_.cfg_, pid_);
     TBR_ENSURE(proc_ != nullptr, "recover factory returned null");
     crashed_.store(false, std::memory_order_release);
     proc_->on_start(*this);  // a rejoiner broadcasts CATCHUP here
@@ -153,77 +151,21 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
     if (e.fn) e.fn();
   }
 
+  OpState& take_pending() {
+    OpState& op = *pending_op_;
+    pending_op_ = nullptr;
+    return op;
+  }
+
   ThreadNetwork& net_;
   ProcessId pid_;
   std::unique_ptr<RegisterProcessBase> proc_;
   Mailbox mailbox_;
   Message inbound_;  ///< decode_into scratch (loop thread only)
   std::atomic<bool> crashed_{false};
-  // In-flight client operation callbacks (loop thread only): invoked by
-  // the completion callback or failed by a crash, whichever comes first.
-  // Parked in members so the algorithm-facing completion lambdas capture
-  // only {this, start} and stay allocation-free.
-  WriteCallback pending_write_;
-  ReadCallback pending_read_;
-};
-
-// ---- ClientImpl: the unified client API over this runtime -------------------
-//
-// Issue = push a Write/ReadEnvelope whose completion callback captures one
-// OpState pointer (std::function inline storage; no allocation); park =
-// block on the client pool's condition variable. Completion is guaranteed:
-// the runtime's crash and shutdown paths fail every accepted envelope.
-
-class ThreadNetwork::ClientImpl final : public RegisterClientEngine {
- public:
-  explicit ClientImpl(ThreadNetwork& net) : net_(net), client_(*this) {}
-
-  std::uint32_t client_nodes() const override { return net_.cfg_.n; }
-  ProcessId client_writer() const override { return net_.cfg_.writer; }
-
-  ProcessId client_pick_reader() override {
-    return rotor_.pick(net_.cfg_.n,
-                       [this](ProcessId r) { return net_.crashed(r); });
-  }
-
-  void client_issue(OpState& st) override {
-    TBR_ENSURE(net_.started_, "start() the network first");
-    st.start = net_.now();
-    if (st.kind == OpKind::kWrite) {
-      WriteEnvelope env{std::move(st.value),
-                        WriteCallback([&st](Tick latency, Status status) {
-                          st.result.status = status;
-                          st.result.latency = latency;
-                          st.owner->complete(st);
-                        })};
-      if (!net_.hosts_[st.node]->mailbox().push(std::move(env))) {
-        st.owner->complete_failed(st, kShutdownStatus);
-      }
-    } else {
-      ReadEnvelope env{
-          ReadCallback([&st](const ReadResultT& r, Status status) {
-            st.result.status = status;
-            st.result.value = r.value;  // copy into the pooled capacity
-            st.result.version = r.index;
-            st.result.latency = r.latency;
-            st.owner->complete(st);
-          })};
-      if (!net_.hosts_[st.node]->mailbox().push(std::move(env))) {
-        st.owner->complete_failed(st, kShutdownStatus);
-      }
-    }
-  }
-
-  void client_park(OpState& st, OpPool& pool) override {
-    pool.block_until_ready(st);
-  }
-
-  RegisterClient& client() noexcept { return client_; }
-
- private:
-  ThreadNetwork& net_;
-  ReaderRotor rotor_;
-  RegisterClient client_;
+  // The in-flight client operation (loop thread only): completed by the
+  // protocol or failed by a crash, whichever comes first.
+  OpState* pending_op_ = nullptr;
 };
 
 // ---- ThreadNetwork -----------------------------------------------------------
@@ -231,6 +173,10 @@ class ThreadNetwork::ClientImpl final : public RegisterClientEngine {
 ThreadNetwork::ThreadNetwork(Options options)
     : cfg_(options.cfg),
       opt_(options),
+      factories_(resolve_factories(options.algo,
+                                   std::move(options.process_factory),
+                                   std::move(options.recover_factory))),
+      client_(*this, cfg_.n, cfg_.writer),
       chan_epoch_(new std::atomic<std::uint32_t>[static_cast<std::size_t>(
           options.cfg.n) * options.cfg.n]()),
       delay_rng_(options.seed ^ 0xD15417C4E5ULL),
@@ -240,17 +186,9 @@ ThreadNetwork::ThreadNetwork(Options options)
              "need min_delay <= max_delay");
   hosts_.reserve(cfg_.n);
   for (ProcessId pid = 0; pid < cfg_.n; ++pid) {
-    auto proc = opt_.process_factory
-                    ? opt_.process_factory(cfg_, pid)
-                    : make_register_process(opt_.algo, cfg_, pid);
-    hosts_.push_back(std::make_unique<ProcessHost>(*this, pid,
-                                                   std::move(proc)));
+    hosts_.push_back(std::make_unique<ProcessHost>(
+        *this, pid, factories_.start(cfg_, pid)));
   }
-  client_impl_ = std::make_unique<ClientImpl>(*this);
-}
-
-RegisterClient& ThreadNetwork::client() noexcept {
-  return client_impl_->client();
 }
 
 ThreadNetwork::~ThreadNetwork() { stop(); }
@@ -266,23 +204,11 @@ void ThreadNetwork::start() {
   if (started_) return;
   started_ = true;
   threads_.reserve(cfg_.n + 1);
-  const int pin_base = opt_.pin_cpu_base;
-  for (ProcessId pid = 0; pid < cfg_.n; ++pid) {
-    threads_.emplace_back([host = hosts_[pid].get(), pin_base,
-                           pid](std::stop_token st) {
-      if (pin_base >= 0) {
-        (void)pin_current_thread(static_cast<std::uint32_t>(pin_base) + pid);
-      }
-      host->run(st);
-    });
+  for (auto& host : hosts_) {
+    threads_.emplace_back(
+        [h = host.get()](std::stop_token st) { h->run(st); });
   }
-  threads_.emplace_back([this, pin_base](std::stop_token st) {
-    if (pin_base >= 0) {
-      (void)pin_current_thread(static_cast<std::uint32_t>(pin_base) +
-                               cfg_.n);
-    }
-    dispatcher_loop(st);
-  });
+  threads_.emplace_back([this](std::stop_token st) { dispatcher_loop(st); });
 }
 
 void ThreadNetwork::stop() {
@@ -409,24 +335,13 @@ void ThreadNetwork::dispatcher_loop(std::stop_token st) {
   }
 }
 
-void ThreadNetwork::write_async(Value v, WriteCallback done) {
-  TBR_ENSURE(started_, "start() the network first");
-  TBR_ENSURE(done != nullptr, "write_async needs a completion callback");
-  WriteEnvelope env{std::move(v), std::move(done)};
-  if (!hosts_[cfg_.writer]->mailbox().push(std::move(env))) {
-    // push() moves from its argument only on success, so this branch
-    // still owns the callback.
-    env.done(0, kShutdownStatus);
+void ThreadNetwork::client_issue(OpState& st) {
+  if (!started_) {
+    st.owner->complete_failed(st, kNotStartedStatus);
+    return;
   }
-}
-
-void ThreadNetwork::read_async(ProcessId reader, ReadCallback done) {
-  TBR_ENSURE(started_, "start() the network first");
-  TBR_ENSURE(reader < cfg_.n, "reader id out of range");
-  TBR_ENSURE(done != nullptr, "read_async needs a completion callback");
-  ReadEnvelope env{std::move(done)};
-  if (!hosts_[reader]->mailbox().push(std::move(env))) {
-    env.done(ReadResultT{}, kShutdownStatus);
+  if (!hosts_[st.node]->mailbox().push(OpEnvelope{&st})) {
+    st.owner->complete_failed(st, kShutdownStatus);
   }
 }
 
@@ -443,21 +358,9 @@ void ThreadNetwork::record_fenced_drop() {
 void ThreadNetwork::recover(ProcessId pid) {
   TBR_ENSURE(pid < cfg_.n, "pid out of range");
   TBR_ENSURE(crashed(pid), "recover of a process that is not crashed");
-  std::function<std::unique_ptr<RegisterProcessBase>()> make;
-  if (opt_.recover_factory) {
-    make = [factory = opt_.recover_factory, cfg = cfg_, pid] {
-      return factory(cfg, pid);
-    };
-  } else {
-    TBR_ENSURE(opt_.algo == Algorithm::kTwoBit && !opt_.process_factory,
-               "recover needs Options::recover_factory");
-    make = [cfg = cfg_, pid]() -> std::unique_ptr<RegisterProcessBase> {
-      TwoBitOptions topt;
-      topt.recover_via_catchup = true;
-      return std::make_unique<TwoBitProcess>(cfg, pid, topt);
-    };
-  }
-  hosts_[pid]->mailbox().push(RecoverEnvelope{std::move(make)});
+  TBR_ENSURE(factories_.rejoin != nullptr,
+             "recover needs Options::recover_factory");
+  hosts_[pid]->mailbox().push(RecoverEnvelope{factories_.rejoin});
 }
 
 bool ThreadNetwork::crashed(ProcessId pid) const {

@@ -9,17 +9,15 @@
 // Hot-path design: encode buffers come from a recycled pool (take on send,
 // encode_into a warmed string, move the buffer through PendingFrame and
 // DeliverEnvelope to the receiver, recycle after decode), mailboxes are
-// ring-backed, and the callback client API keeps per-operation completion
-// inside std::function's inline storage — so a steady-state operation
-// allocates nothing in the runtime.
+// ring-backed, and a client operation travels as one pooled OpState
+// pointer — so a steady-state operation allocates nothing in the runtime.
 //
-// Client API: client() exposes the unified RegisterClient (pooled
-// Ticket/callback completions, uniform Status — see src/client/client.hpp);
-// it reaches steady-state zero allocations per operation in both shapes.
-// write_async/read_async are the raw callback path underneath it (callback
-// runs on the owning process's thread; do not block in it). The
-// promise-backed future wrappers this runtime once carried are gone —
-// client() is the one way in.
+// Client API: client() is the one way in: the unified RegisterClient
+// (pooled Ticket/callback completions, uniform Status — see
+// src/client/client.hpp), zero allocations per operation in both shapes.
+// Its issue pushes the OpState to the owning process's mailbox, and that
+// process's thread completes it (callbacks run there; do not block in
+// them).
 #pragma once
 
 #include <atomic>
@@ -39,7 +37,7 @@
 
 namespace tbr {
 
-class ThreadNetwork {
+class ThreadNetwork final : private RegisterClientEngine {
  public:
   struct Options {
     GroupConfig cfg;
@@ -51,21 +49,10 @@ class ThreadNetwork {
     std::uint32_t max_delay_us = 200;
     /// Optional override: build each process yourself (e.g. wrap in a
     /// ReliableLinkProcess). When set, `algo` is informational.
-    std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                       ProcessId)>
-        process_factory;
-
-    /// >= 0: pin process p's thread to core pin_cpu_base + p and the
-    /// dispatcher to pin_cpu_base + n (mod hardware cores; best-effort).
-    /// Keeps per-process cache state warm and throughput runs reproducible.
-    int pin_cpu_base = -1;
-
-    /// Optional override for the incarnation built by recover(). Unset +
-    /// algo == kTwoBit: a TwoBitProcess with recover_via_catchup. Unset +
-    /// any other algorithm: recovery is unavailable.
-    std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                       ProcessId)>
-        recover_factory;
+    RegisterFactory process_factory;
+    /// Optional override for the incarnation built by recover(); unset
+    /// follows resolve_factories() (workload/algorithms.hpp).
+    RegisterFactory recover_factory;
   };
 
   explicit ThreadNetwork(Options options);
@@ -73,7 +60,8 @@ class ThreadNetwork {
   ThreadNetwork(const ThreadNetwork&) = delete;
   ThreadNetwork& operator=(const ThreadNetwork&) = delete;
 
-  /// Launch all process threads and the dispatcher. Idempotent.
+  /// Launch all process threads and the dispatcher. Idempotent. Ops
+  /// submitted before start() fail with kShutdown.
   void start();
   /// Stop threads and reject further work. Idempotent; called by ~.
   void stop();
@@ -82,22 +70,14 @@ class ThreadNetwork {
   /// Pooled Ticket/callback completions with uniform Status outcomes
   /// (src/client/client.hpp). Safe from any thread; completions run on the
   /// owning process's thread. Steady state: zero allocations per op.
-  RegisterClient& client() noexcept;
-
-  // ---- client fast path (allocation-free completion) -----------------------
-  /// Start a write at the writer process; `done(latency_ns, status)` runs
-  /// on the writer's thread when the operation completes (non-ok status:
-  /// the writer crashed or the network is shut down).
-  void write_async(Value v, WriteCallback done);
-  /// Start a read at `reader`; `done(result, status)` runs on the reader's
-  /// thread.
-  void read_async(ProcessId reader, ReadCallback done);
+  RegisterClient& client() noexcept { return client_; }
 
   /// Crash a process: it handles nothing after the marker is processed.
   void crash(ProcessId pid);
   bool crashed(ProcessId pid) const;
   /// Rejoin a crashed process as a fresh incarnation (Options::
-  /// recover_factory). Every channel touching it is re-established:
+  /// recover_factory; throws ContractViolation when the group has no
+  /// rejoiner). Every channel touching it is re-established:
   /// in-flight frames stamped with the old channel epoch are dropped at
   /// delivery, exactly as a closed-and-reopened TCP connection would lose
   /// them. The new incarnation starts (and catches up) on the loop thread.
@@ -109,7 +89,6 @@ class ThreadNetwork {
 
  private:
   class ProcessHost;
-  class ClientImpl;
   struct PendingFrame {
     Tick release_at = 0;
     std::uint64_t seq = 0;
@@ -124,6 +103,14 @@ class ThreadNetwork {
       return seq > other.seq;
     }
   };
+
+  // RegisterClientEngine: issue = push the OpState to its process's
+  // mailbox; park = block on the client pool.
+  void client_issue(OpState& st) override;
+  void client_park(OpState& st, OpPool& pool) override {
+    pool.block_until_ready(st);
+  }
+  bool client_crashed(ProcessId pid) const override { return crashed(pid); }
 
   void dispatch(ProcessId from, ProcessId to, const Message& msg);
   void schedule_timer(ProcessId pid, Tick delay, std::function<void()> fn);
@@ -146,8 +133,9 @@ class ThreadNetwork {
 
   GroupConfig cfg_;
   Options opt_;
+  GroupFactories factories_;
   std::vector<std::unique_ptr<ProcessHost>> hosts_;
-  std::unique_ptr<ClientImpl> client_impl_;  // engine + RegisterClient
+  RegisterClient client_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> chan_epoch_;  // n*n cells
 
   // Dispatcher state.

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "core/twobit_process.hpp"
 #include "transport/event_loop.hpp"
 #include "transport/frame_buffer.hpp"
 #include "transport/tcp_socket.hpp"
@@ -22,6 +21,8 @@ namespace {
 constexpr Status kCrashedStatus{StatusCode::kCrashed, "process has crashed"};
 constexpr Status kShutdownStatus{StatusCode::kShutdown,
                                  "network is shut down"};
+constexpr Status kNotStartedStatus{StatusCode::kShutdown,
+                                   "network is not started"};
 /// epoll tag reserved for a loop's own wakeup pipe.
 constexpr std::uint64_t kWakeTag = ~std::uint64_t{0};
 }  // namespace
@@ -56,7 +57,7 @@ class SocketNetwork::Loop {
     ProcessId peer = kNoProcess;  // kReattach: whose channel this is
     OwnedFd fd;                   // kReattach: the new connection
     bool pause = false;           // kReadPause
-    std::function<std::unique_ptr<RegisterProcessBase>()> make;  // kRecover
+    RegisterFactory make;         // kRecover
   };
 
   explicit Loop(SocketNetwork& net) : net_(net) {
@@ -395,10 +396,9 @@ class SocketNetwork::Node final : public NetworkContext {
     recompute_park();
   }
 
-  void handle_recover(
-      const std::function<std::unique_ptr<RegisterProcessBase>()>& make) {
+  void handle_recover(const RegisterFactory& make) {
     TBR_ENSURE(crashed_, "recover of a process that is not crashed");
-    proc_ = make();
+    proc_ = make(net_.cfg_, pid_);
     TBR_ENSURE(proc_ != nullptr, "recover factory returned null");
     crashed_ = false;
     crashed_flag_.store(false, std::memory_order_release);
@@ -714,66 +714,23 @@ void SocketNetwork::Loop::run(std::stop_token st) {
   fail_queued_commands();
 }
 
-// ---- ClientImpl: the unified client API over this runtime -------------------
-//
-// Issue = admit the OpState on the owning node's loop thread, which
-// resolves it with a uniform Status: in place when the caller already is
-// that thread, else as a Command through its queue and wake pipe. Park =
-// block on the client pool's condition variable. Completion is guaranteed:
-// the loop's crash and shutdown paths fail every accepted op.
-
-class SocketNetwork::ClientImpl final : public RegisterClientEngine {
- public:
-  explicit ClientImpl(SocketNetwork& net) : net_(net), client_(*this) {}
-
-  std::uint32_t client_nodes() const override { return net_.cfg_.n; }
-  ProcessId client_writer() const override { return net_.cfg_.writer; }
-
-  ProcessId client_pick_reader() override {
-    return rotor_.pick(net_.cfg_.n,
-                       [this](ProcessId r) { return net_.crashed(r); });
-  }
-
-  void client_issue(OpState& st) override {
-    TBR_ENSURE(net_.started_, "start() the network first");
-    Node* node = net_.nodes_[st.node].get();
-    if (node->loop().on_this_thread()) {
-      node->admit(st);
-      return;
-    }
-    Loop::Command cmd;
-    cmd.node = node;
-    cmd.op = &st;
-    if (!node->loop().submit(std::move(cmd))) {
-      st.owner->complete_failed(st, kShutdownStatus);
-    }
-  }
-
-  void client_park(OpState& st, OpPool& pool) override {
-    pool.block_until_ready(st);
-  }
-
-  RegisterClient& client() noexcept { return client_; }
-
- private:
-  SocketNetwork& net_;
-  ReaderRotor rotor_;
-  RegisterClient client_;
-};
-
 // ---- SocketNetwork ------------------------------------------------------------------
 
 SocketNetwork::SocketNetwork(Options options)
-    : cfg_(options.cfg), opt_(std::move(options)), epoch_(Clock::now()) {
+    : cfg_(options.cfg),
+      opt_(options),
+      factories_(resolve_factories(options.algo,
+                                   std::move(options.process_factory),
+                                   std::move(options.recover_factory))),
+      client_(*this, cfg_.n, cfg_.writer),
+      epoch_(Clock::now()) {
   cfg_.validate();
   opt_.limits.validate();
   TBR_ENSURE(cfg_.n >= 2, "a socket mesh needs at least two processes");
   nodes_.reserve(cfg_.n);
   for (ProcessId pid = 0; pid < cfg_.n; ++pid) {
-    auto proc = opt_.process_factory
-                    ? opt_.process_factory(cfg_, pid)
-                    : make_register_process(opt_.algo, cfg_, pid);
-    nodes_.push_back(std::make_unique<Node>(*this, pid, std::move(proc)));
+    nodes_.push_back(
+        std::make_unique<Node>(*this, pid, factories_.start(cfg_, pid)));
   }
   const auto hw = std::max(1u, std::thread::hardware_concurrency());
   std::uint32_t count =
@@ -789,13 +746,31 @@ SocketNetwork::SocketNetwork(Options options)
   for (ProcessId pid = 0; pid < cfg_.n; ++pid) {
     nodes_[pid]->attach_loop(loops_[pid % count].get(), opt_.limits);
   }
-  client_impl_ = std::make_unique<ClientImpl>(*this);
 }
 
 SocketNetwork::~SocketNetwork() { stop(); }
 
-RegisterClient& SocketNetwork::client() noexcept {
-  return client_impl_->client();
+// Issue = admit the OpState on the owning node's loop thread, which
+// resolves it with a uniform Status: in place when the caller already is
+// that thread, else as a Command through its queue and wake pipe.
+// Completion is guaranteed: the loop's crash and shutdown paths fail every
+// accepted op.
+void SocketNetwork::client_issue(OpState& st) {
+  if (!started_) {
+    st.owner->complete_failed(st, kNotStartedStatus);
+    return;
+  }
+  Node* node = nodes_[st.node].get();
+  if (node->loop().on_this_thread()) {
+    node->admit(st);
+    return;
+  }
+  Loop::Command cmd;
+  cmd.node = node;
+  cmd.op = &st;
+  if (!node->loop().submit(std::move(cmd))) {
+    st.owner->complete_failed(st, kShutdownStatus);
+  }
 }
 
 Tick SocketNetwork::now() const {
@@ -870,20 +845,8 @@ void SocketNetwork::recover(ProcessId pid) {
   TBR_ENSURE(pid < cfg_.n, "pid out of range");
   TBR_ENSURE(started_ && !stopped_, "recover needs a running network");
   TBR_ENSURE(crashed(pid), "recover of a process that is not crashed");
-  std::function<std::unique_ptr<RegisterProcessBase>()> make;
-  if (opt_.recover_factory) {
-    make = [factory = opt_.recover_factory, cfg = cfg_, pid] {
-      return factory(cfg, pid);
-    };
-  } else {
-    TBR_ENSURE(opt_.algo == Algorithm::kTwoBit && !opt_.process_factory,
-               "recover needs Options::recover_factory");
-    make = [cfg = cfg_, pid]() -> std::unique_ptr<RegisterProcessBase> {
-      TwoBitOptions topt;
-      topt.recover_via_catchup = true;
-      return std::make_unique<TwoBitProcess>(cfg, pid, topt);
-    };
-  }
+  TBR_ENSURE(factories_.rejoin != nullptr,
+             "recover needs Options::recover_factory");
   // Re-mesh: a brand-new TCP connection per live peer. The rejoiner adopts
   // its ends first (FIFO per loop command queue), so they are in place
   // before the recover command runs on_start (which broadcasts CATCHUP on
@@ -907,7 +870,7 @@ void SocketNetwork::recover(ProcessId pid) {
   Loop::Command reborn;
   reborn.kind = Loop::Command::Kind::kRecover;
   reborn.node = nodes_[pid].get();
-  reborn.make = std::move(make);
+  reborn.make = factories_.rejoin;
   nodes_[pid]->loop().submit(std::move(reborn));
 }
 

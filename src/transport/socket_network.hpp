@@ -64,23 +64,17 @@
 
 namespace tbr {
 
-class SocketNetwork {
+class SocketNetwork final : private RegisterClientEngine {
  public:
   struct Options {
     GroupConfig cfg;
     Algorithm algo = Algorithm::kTwoBit;
     /// Optional override: build each process yourself (e.g. wrap in a
     /// ReliableLinkProcess). When set, `algo` is informational.
-    std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                       ProcessId)>
-        process_factory;
-
-    /// Optional override for the incarnation built by recover(). Unset +
-    /// algo == kTwoBit: a TwoBitProcess with recover_via_catchup. Unset +
-    /// any other algorithm: recovery is unavailable.
-    std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                       ProcessId)>
-        recover_factory;
+    RegisterFactory process_factory;
+    /// Optional override for the incarnation built by recover(); unset
+    /// follows resolve_factories() (workload/algorithms.hpp).
+    RegisterFactory recover_factory;
 
     /// Event-loop threads. 0 = auto: min(n, hardware concurrency).
     /// Processes shard onto loops by pid % loops.
@@ -112,7 +106,8 @@ class SocketNetwork {
   SocketNetwork(const SocketNetwork&) = delete;
   SocketNetwork& operator=(const SocketNetwork&) = delete;
 
-  /// Build the TCP mesh and launch all event loops. Idempotent.
+  /// Build the TCP mesh and launch all event loops. Idempotent. Ops
+  /// submitted before start() fail with kShutdown.
   void start();
   /// Stop loops, close sockets, reject further work. Idempotent.
   void stop();
@@ -121,13 +116,14 @@ class SocketNetwork {
   /// callback completions with uniform Status outcomes. Safe from any
   /// thread; completions run on the owning process's loop thread. Steady
   /// state: zero allocations per operation.
-  RegisterClient& client() noexcept;
+  RegisterClient& client() noexcept { return client_; }
 
   /// Crash a process: its loop closes every socket and ignores the rest.
   void crash(ProcessId pid);
   bool crashed(ProcessId pid) const;
   /// Rejoin a crashed process as a fresh incarnation (Options::
-  /// recover_factory): a brand-new TCP connection per live peer (whatever
+  /// recover_factory; throws ContractViolation when the group has no
+  /// rejoiner): a brand-new TCP connection per live peer (whatever
   /// the old connections still held dies with them), then the new process
   /// starts on the loop thread and catches up from peer checkpoints.
   void recover(ProcessId pid);
@@ -154,13 +150,21 @@ class SocketNetwork {
  private:
   class Node;
   class Loop;
-  class ClientImpl;
+
+  // RegisterClientEngine (see client_issue in the .cpp); park blocks on
+  // the client pool.
+  void client_issue(OpState& st) override;
+  void client_park(OpState& st, OpPool& pool) override {
+    pool.block_until_ready(st);
+  }
+  bool client_crashed(ProcessId pid) const override { return crashed(pid); }
 
   GroupConfig cfg_;
   Options opt_;
+  GroupFactories factories_;
+  RegisterClient client_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Loop>> loops_;
-  std::unique_ptr<ClientImpl> client_impl_;  // engine + RegisterClient
 
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::jthread> threads_;

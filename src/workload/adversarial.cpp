@@ -33,7 +33,7 @@ ScenarioOutcome drive(SimRegisterGroup& group) {
     const auto id = log.begin_write(0, group.net().now(), 1,
                                     Value::from_int64(1));
     bool done = false;
-    group.begin_write(Value::from_int64(1), [&] {
+    group.client().write(Value::from_int64(1), [&](const OpResult&) {
       log.end_write(id, group.net().now());
       done = true;
     });
@@ -48,7 +48,7 @@ ScenarioOutcome drive(SimRegisterGroup& group) {
   const auto write_id =
       log.begin_write(0, base, 2, Value::from_int64(2));
   group.net().schedule_at(base, [&, write_id] {
-    group.begin_write(Value::from_int64(2), [&, write_id] {
+    group.client().write(Value::from_int64(2), [&, write_id](const OpResult&) {
       log.end_write(write_id, group.net().now());
     });
   });
@@ -57,9 +57,9 @@ ScenarioOutcome drive(SimRegisterGroup& group) {
   bool first_done = false;
   group.net().schedule_at(base + 30, [&] {
     const auto id = log.begin_read(1, group.net().now());
-    group.begin_read(1, [&, id](const Value& v, SeqNo idx) {
-      log.end_read(id, group.net().now(), v, idx);
-      outcome.first_read_index = idx;
+    group.client().read(1, [&, id](const OpResult& r) {
+      log.end_read(id, group.net().now(), r.value, r.version);
+      outcome.first_read_index = r.version;
       first_done = true;
     });
   });
@@ -69,9 +69,9 @@ ScenarioOutcome drive(SimRegisterGroup& group) {
   bool second_done = false;
   group.net().schedule_at(base + 200, [&] {
     const auto id = log.begin_read(2, group.net().now());
-    group.begin_read(2, [&, id](const Value& v, SeqNo idx) {
-      log.end_read(id, group.net().now(), v, idx);
-      outcome.second_read_index = idx;
+    group.client().read(2, [&, id](const OpResult& r) {
+      log.end_read(id, group.net().now(), r.value, r.version);
+      outcome.second_read_index = r.version;
       second_done = true;
     });
   });
@@ -150,7 +150,7 @@ ScenarioOutcome run_twobit_stale_read_scenario(const TwoBitOptions& options) {
     const auto id = log.begin_write(0, group.net().now(), 1,
                                     Value::from_int64(1));
     bool done = false;
-    group.begin_write(Value::from_int64(1), [&] {
+    group.client().write(Value::from_int64(1), [&](const OpResult&) {
       log.end_write(id, group.net().now());
       done = true;
     });
@@ -163,7 +163,7 @@ ScenarioOutcome run_twobit_stale_read_scenario(const TwoBitOptions& options) {
   bool write_done = false;
   const auto write_id = log.begin_write(0, base, 2, Value::from_int64(2));
   group.net().schedule_at(base, [&, write_id] {
-    group.begin_write(Value::from_int64(2), [&, write_id] {
+    group.client().write(Value::from_int64(2), [&, write_id](const OpResult&) {
       log.end_write(write_id, group.net().now());
       write_done = true;
     });
@@ -177,9 +177,9 @@ ScenarioOutcome run_twobit_stale_read_scenario(const TwoBitOptions& options) {
   bool read_done = false;
   group.net().schedule_after(10, [&] {
     const auto id = log.begin_read(2, group.net().now());
-    group.begin_read(2, [&, id](const Value& v, SeqNo idx) {
-      log.end_read(id, group.net().now(), v, idx);
-      outcome.second_read_index = idx;
+    group.client().read(2, [&, id](const OpResult& r) {
+      log.end_read(id, group.net().now(), r.value, r.version);
+      outcome.second_read_index = r.version;
       read_done = true;
     });
   });

@@ -66,15 +66,25 @@ std::unique_ptr<RegisterProcessBase> make_register_process(Algorithm algo,
   return {};
 }
 
-std::vector<std::unique_ptr<ProcessBase>> make_register_group(
-    Algorithm algo, const GroupConfig& cfg) {
-  cfg.validate();
-  std::vector<std::unique_ptr<ProcessBase>> group;
-  group.reserve(cfg.n);
-  for (ProcessId pid = 0; pid < cfg.n; ++pid) {
-    group.push_back(make_register_process(algo, cfg, pid));
+GroupFactories resolve_factories(Algorithm algo,
+                                 RegisterFactory process_factory,
+                                 RegisterFactory recover_factory) {
+  GroupFactories out;
+  out.rejoin = std::move(recover_factory);
+  if (!out.rejoin && algo == Algorithm::kTwoBit && !process_factory) {
+    out.rejoin = [](const GroupConfig& cfg, ProcessId pid) {
+      TwoBitOptions opt;
+      opt.recover_via_catchup = true;
+      return std::make_unique<TwoBitProcess>(cfg, pid, opt);
+    };
   }
-  return group;
+  out.start = std::move(process_factory);
+  if (!out.start) {
+    out.start = [algo](const GroupConfig& cfg, ProcessId pid) {
+      return make_register_process(algo, cfg, pid);
+    };
+  }
+  return out;
 }
 
 }  // namespace tbr

@@ -34,8 +34,20 @@ std::unique_ptr<RegisterProcessBase> make_register_process(Algorithm algo,
                                                            GroupConfig cfg,
                                                            ProcessId self);
 
-/// Build the full group (index i = process i).
-std::vector<std::unique_ptr<ProcessBase>> make_register_group(
-    Algorithm algo, const GroupConfig& cfg);
+/// How a runtime builds its processes, resolved once from its Options.
+struct GroupFactories {
+  RegisterFactory start;   ///< every process's first incarnation
+  RegisterFactory rejoin;  ///< recover(); empty = recovery is refused
+};
+
+/// The one process/rejoiner rule every runtime (sim, threaded, socket)
+/// shares. `start` is `process_factory` when set (`algo` is then
+/// informational), else the `algo` implementation. `rejoin` is
+/// `recover_factory` when set; unset, a two-bit group built from `algo`
+/// rejoins as a TwoBitProcess with recover_via_catchup (it bootstraps from
+/// a peer checkpoint), and any other group cannot recover.
+GroupFactories resolve_factories(Algorithm algo,
+                                 RegisterFactory process_factory,
+                                 RegisterFactory recover_factory);
 
 }  // namespace tbr

@@ -1,4 +1,4 @@
-#include "runtime/thread_workload.hpp"
+#include "workload/live_workload.hpp"
 
 #include <atomic>
 #include <chrono>
@@ -6,49 +6,38 @@
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "runtime/thread_network.hpp"
+#include "transport/socket_network.hpp"
 
 namespace tbr {
 
-ThreadWorkloadResult run_thread_workload(const ThreadWorkloadOptions& options) {
-  GroupConfig cfg = options.cfg;
-  cfg.validate();
+namespace {
+
+template <typename Net>
+LiveWorkloadResult run(Net& net, const LiveWorkloadOptions& options) {
+  const GroupConfig& cfg = net.config();
   TBR_ENSURE(options.crashes <= cfg.t,
              "workload cannot crash more than t processes");
-
-  ThreadNetwork::Options net_opt;
-  net_opt.cfg = cfg;
-  net_opt.algo = options.algo;
-  net_opt.seed = options.seed;
-  net_opt.min_delay_us = options.min_delay_us;
-  net_opt.max_delay_us = options.max_delay_us;
-  net_opt.pin_cpu_base = options.pin_threads ? 0 : -1;
-  ThreadNetwork net(net_opt);
   net.start();
 
   HistoryLog log;
   std::vector<std::atomic<std::uint32_t>> completed(cfg.n);
   std::vector<ProcessId> victims;
-  {
-    ProcessId pid = cfg.n;
-    while (victims.size() < options.crashes) {
-      TBR_ENSURE(pid > 0, "ran out of crash victims");
-      --pid;
-      if (pid == cfg.writer) continue;
-      victims.push_back(pid);
-    }
+  for (ProcessId pid = cfg.n; victims.size() < options.crashes;) {
+    TBR_ENSURE(pid > 0, "ran out of crash victims");
+    --pid;
+    if (pid != cfg.writer) victims.push_back(pid);
   }
 
   {
     std::vector<std::jthread> clients;
     clients.reserve(cfg.n + 1);
-
     RegisterClient& client = net.client();
     for (ProcessId pid = 0; pid < cfg.n; ++pid) {
       clients.emplace_back([&, pid] {
         Rng rng(options.seed ^ (0x9E37ULL * (pid + 1)));
         for (std::uint32_t k = 0; k < options.ops_per_process; ++k) {
-          const bool is_writer = (pid == cfg.writer);
-          if (is_writer) {
+          if (pid == cfg.writer) {
             const SeqNo index = static_cast<SeqNo>(k) + 1;
             Value v = Value::from_int64(index);
             const auto id = log.begin_write(pid, net.now(), index, v);
@@ -67,7 +56,6 @@ ThreadWorkloadResult run_thread_workload(const ThreadWorkloadOptions& options) {
         }
       });
     }
-
     if (!victims.empty()) {
       clients.emplace_back([&] {
         // Let the workload get going, then take the victims down.
@@ -77,17 +65,27 @@ ThreadWorkloadResult run_thread_workload(const ThreadWorkloadOptions& options) {
     }
   }  // join all clients
 
-  ThreadWorkloadResult result;
+  LiveWorkloadResult result;
   result.ops = log.ops();
-  result.stats = net.stats_snapshot();
   for (ProcessId pid = 0; pid < cfg.n; ++pid) {
     if (net.crashed(pid)) continue;
     result.quota_of_correct += options.ops_per_process;
     result.completed_by_correct +=
         completed[pid].load(std::memory_order_relaxed);
   }
-  net.stop();
   return result;
+}
+
+}  // namespace
+
+LiveWorkloadResult run_live_workload(ThreadNetwork& net,
+                                     const LiveWorkloadOptions& options) {
+  return run(net, options);
+}
+
+LiveWorkloadResult run_live_workload(SocketNetwork& net,
+                                     const LiveWorkloadOptions& options) {
+  return run(net, options);
 }
 
 }  // namespace tbr

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/twobit_process.hpp"
-
 namespace tbr {
 
 // ---- ClientImpl: the unified client API over the simulator -------------------
@@ -17,15 +15,11 @@ namespace tbr {
 
 class SimRegisterGroup::ClientImpl final : public RegisterClientEngine {
  public:
-  ClientImpl(SimNetwork& net, GroupConfig cfg)
-      : net_(&net), cfg_(std::move(cfg)), client_(*this) {}
+  ClientImpl(SimNetwork& net, const GroupConfig& cfg)
+      : net_(&net), client_(*this, cfg.n, cfg.writer) {}
 
-  std::uint32_t client_nodes() const override { return cfg_.n; }
-  ProcessId client_writer() const override { return cfg_.writer; }
-
-  ProcessId client_pick_reader() override {
-    return rotor_.pick(cfg_.n,
-                       [this](ProcessId r) { return net_->crashed(r); });
+  bool client_crashed(ProcessId pid) const override {
+    return net_->crashed(pid);
   }
 
   void client_issue(OpState& st) override {
@@ -70,8 +64,6 @@ class SimRegisterGroup::ClientImpl final : public RegisterClientEngine {
 
  private:
   SimNetwork* net_;
-  GroupConfig cfg_;
-  ReaderRotor rotor_;
   RegisterClient client_;
 };
 
@@ -97,48 +89,23 @@ SimRegisterGroup::SimRegisterGroup(Options options)
   net_opt.loss_rate = options.loss_rate;
   net_opt.service_time = options.service_time;
   net_opt.track_in_flight = options.track_in_flight;
-  if (options.recover_factory) {
-    net_opt.recover_factory = [cfg = cfg_,
-                               make = std::move(options.recover_factory)](
-                                  ProcessId pid) {
-      return make(cfg, pid);
-    };
-  } else if (algo_ == Algorithm::kTwoBit && !options.process_factory) {
-    net_opt.recover_factory = [cfg = cfg_](ProcessId pid) {
-      TwoBitOptions opt;
-      opt.recover_via_catchup = true;
-      return std::make_unique<TwoBitProcess>(cfg, pid, opt);
-    };
+  GroupFactories factories =
+      resolve_factories(algo_, std::move(options.process_factory),
+                        std::move(options.recover_factory));
+  if (factories.rejoin) {
+    net_opt.recover_factory = [cfg = cfg_, make = std::move(factories.rejoin)](
+                                  ProcessId pid) { return make(cfg, pid); };
   }
   std::vector<std::unique_ptr<ProcessBase>> group;
-  if (options.process_factory) {
-    group.reserve(cfg_.n);
-    for (ProcessId pid = 0; pid < cfg_.n; ++pid) {
-      group.push_back(options.process_factory(cfg_, pid));
-    }
-  } else {
-    group = make_register_group(algo_, cfg_);
+  group.reserve(cfg_.n);
+  for (ProcessId pid = 0; pid < cfg_.n; ++pid) {
+    group.push_back(factories.start(cfg_, pid));
   }
   net_ = std::make_unique<SimNetwork>(std::move(group), std::move(net_opt));
 }
 
 RegisterProcessBase& SimRegisterGroup::process(ProcessId pid) {
   return net_->process_as<RegisterProcessBase>(pid);
-}
-
-void SimRegisterGroup::begin_write(Value v, std::function<void()> done) {
-  TBR_ENSURE(!net_->crashed(cfg_.writer), "writer has crashed");
-  auto& writer = process(cfg_.writer);
-  writer.start_write(net_->context(cfg_.writer), std::move(v),
-                     std::move(done));
-}
-
-void SimRegisterGroup::begin_read(
-    ProcessId reader, std::function<void(const Value&, SeqNo)> done) {
-  TBR_ENSURE(reader < cfg_.n, "reader id out of range");
-  TBR_ENSURE(!net_->crashed(reader), "reader has crashed");
-  auto& proc = process(reader);
-  proc.start_read(net_->context(reader), std::move(done));
 }
 
 void SimRegisterGroup::settle() {

@@ -1,14 +1,15 @@
 // SimRegisterGroup: a ready-to-use register over the simulated network.
 //
-// client() is the quickstart-level API: write_sync/read_sync drive the
-// simulator until the operation completes and report a uniform Status;
-// begin_* plus run_until gives full control for overlapping operations,
-// crash scheduling and latency sweeps.
+// client() is the one way an operation enters the group: write_sync/
+// read_sync drive the simulator until the operation completes and report a
+// uniform Status; the callback forms (client().write(v, cb)) plus
+// net().run_until give full control for overlapping operations, crash
+// scheduling and latency sweeps. An op starts its protocol operation
+// synchronously inside the submitting call — or, queued behind an op still
+// in flight on the same process, inside that op's completion.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <optional>
 
 #include "client/client.hpp"
 #include "sim/fault_plan.hpp"
@@ -27,9 +28,7 @@ class SimRegisterGroup {
     std::unique_ptr<DelayModel> delay;
     /// Optional override: build each process yourself (e.g. TwoBitProcess
     /// with non-default TwoBitOptions). When set, `algo` is informational.
-    std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                       ProcessId)>
-        process_factory;
+    RegisterFactory process_factory;
 
     /// OUT-OF-MODEL loss injection (see SimNetwork::Options::loss_rate);
     /// keep 0 except for the D8 model-boundary experiment.
@@ -43,13 +42,9 @@ class SimRegisterGroup {
     /// track_in_flight); required by the P1 channel-invariant observer.
     bool track_in_flight = false;
 
-    /// Optional override for the incarnation built by recover()/recover_at.
-    /// Unset + algo == kTwoBit: a TwoBitProcess with recover_via_catchup
-    /// (it bootstraps from a peer checkpoint). Unset + any other algorithm:
-    /// recovery is unavailable.
-    std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                       ProcessId)>
-        recover_factory;
+    /// Optional override for the incarnation built by recover()/recover_at;
+    /// unset follows resolve_factories() (workload/algorithms.hpp).
+    RegisterFactory recover_factory;
   };
   static constexpr Tick kDefaultDelta = 1000;
 
@@ -69,11 +64,6 @@ class SimRegisterGroup {
   /// Let all in-flight protocol traffic drain (e.g. to reach the steady
   /// state in which every process knows every value before a measurement).
   void settle();
-
-  // ---- async API --------------------------------------------------------------
-  void begin_write(Value v, std::function<void()> done);
-  void begin_read(ProcessId reader,
-                  std::function<void(const Value&, SeqNo)> done);
 
   // ---- environment ---------------------------------------------------------------
   void crash(ProcessId pid);            ///< immediately

@@ -47,7 +47,8 @@ struct Driver {
       const SeqNo index = next_write_index++;
       Value v = Value::from_int64(index);
       const auto id = log.begin_write(pid, start, index, v);
-      grp.begin_write(std::move(v), [this, pid, id, start] {
+      grp.client().write(std::move(v),
+                         [this, pid, id, start](const OpResult&) {
         log.end_write(id, grp.net().now());
         write_latency.add(grp.net().now() - start);
         completed[pid] += 1;
@@ -55,8 +56,8 @@ struct Driver {
       });
     } else {
       const auto id = log.begin_read(pid, start);
-      grp.begin_read(pid, [this, pid, id, start](const Value& v, SeqNo idx) {
-        log.end_read(id, grp.net().now(), v, idx);
+      grp.client().read(pid, [this, pid, id, start](const OpResult& r) {
+        log.end_read(id, grp.net().now(), r.value, r.version);
         read_latency.add(grp.net().now() - start);
         completed[pid] += 1;
         schedule_next(pid);

@@ -36,9 +36,7 @@ struct SimWorkloadOptions {
 
   /// Optional process-construction override (ablation variants etc.);
   /// forwarded to SimRegisterGroup::Options::process_factory.
-  std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                     ProcessId)>
-      process_factory;
+  RegisterFactory process_factory;
 
   /// Crashes: up to `crashes` victims (<= cfg.t) at random times within
   /// `crash_horizon` ticks.

@@ -339,6 +339,59 @@ TEST(ClientConformance, SocketShutdownReportsShutdownStatus) {
   EXPECT_EQ(r.status.code(), StatusCode::kShutdown);
 }
 
+// Ops still in flight when the network stops resolve before stop()
+// returns — kShutdown, or ok if they finished first — so no waiter blocks
+// past shutdown.
+template <typename Net>
+void expect_stop_resolves_in_flight_ops(typename Net::Options opt) {
+  opt.cfg = small_cfg();
+  Net net(std::move(opt));
+  net.start();
+  ASSERT_TRUE(net.client().write_sync(Value::from_int64(1)).status.ok());
+  std::array<Ticket, 8> tickets;
+  for (std::size_t k = 0; k < tickets.size(); ++k) {
+    tickets[k] = net.client().read(static_cast<ProcessId>(1 + k % 2));
+  }
+  net.stop();
+  for (const Ticket t : tickets) {
+    OpResult r;
+    ASSERT_TRUE(net.client().try_result(t, r)) << "op left pending by stop()";
+    EXPECT_TRUE(r.status.ok() || r.status.code() == StatusCode::kShutdown)
+        << r.status.message();
+  }
+}
+
+TEST(ClientConformance, StopResolvesOpsStillInFlight) {
+  ThreadNetwork::Options slow;
+  slow.min_delay_us = 2000;  // every read is still in flight at stop()
+  slow.max_delay_us = 3000;
+  expect_stop_resolves_in_flight_ops<ThreadNetwork>(std::move(slow));
+  expect_stop_resolves_in_flight_ops<SocketNetwork>({});
+}
+
+// An op submitted before start() fails with kShutdown instead of throwing
+// out of the client with its node's chain still marked busy: once the
+// network starts, the next op on that same node completes.
+template <typename Net>
+void expect_submit_before_start_leaves_node_usable() {
+  typename Net::Options opt;
+  opt.cfg = small_cfg();
+  Net net(std::move(opt));
+  const OpResult early = net.client().write_sync(Value::from_int64(1));
+  EXPECT_EQ(early.status.code(), StatusCode::kShutdown);
+  net.start();
+  const OpResult w = net.client().write_sync(Value::from_int64(2));
+  ASSERT_TRUE(w.status.ok()) << w.status.message();
+  const OpResult r = net.client().read_sync(1);
+  ASSERT_TRUE(r.status.ok()) << r.status.message();
+  EXPECT_EQ(r.value.to_int64(), 2);
+}
+
+TEST(ClientConformance, SubmitBeforeStartFailsWithoutWedgingTheNode) {
+  expect_submit_before_start_leaves_node_usable<ThreadNetwork>();
+  expect_submit_before_start_leaves_node_usable<SocketNetwork>();
+}
+
 TEST(ClientConformance, ShardedShutdownReportsShutdownStatus) {
   ShardedKvStore::Options opt;
   opt.shards = 2;

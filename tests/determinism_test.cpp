@@ -97,24 +97,25 @@ std::uint64_t scripted_trace_digest(std::uint64_t seed) {
 
   int writes_done = 0;
   int reads_done = 0;
-  std::function<void()> next_write = [&] {
+  RegisterClient& client = group.client();
+  OpCallback next_write = [&](const OpResult&) {
     ++writes_done;
     if (writes_done < 12) {
-      group.begin_write(Value::from_int64(writes_done), next_write);
+      client.write(Value::from_int64(writes_done), next_write);
     }
   };
-  group.begin_write(Value::from_int64(0), next_write);
+  client.write(Value::from_int64(0), next_write);
   // Per-reader closed loops. The callbacks live in a container that
   // outlives the run and are captured by reference — no ownership cycle.
-  std::vector<std::function<void(const Value&, SeqNo)>> read_cbs(4);
+  std::vector<OpCallback> read_cbs(4);
   for (ProcessId reader = 1; reader <= 3; ++reader) {
-    read_cbs[reader] = [&, reader](const Value&, SeqNo) {
+    read_cbs[reader] = [&, reader](const OpResult&) {
       ++reads_done;
       if (reads_done < 30 && !group.net().crashed(reader)) {
-        group.begin_read(reader, read_cbs[reader]);
+        client.read(reader, read_cbs[reader]);
       }
     };
-    group.begin_read(reader, read_cbs[reader]);
+    client.read(reader, read_cbs[reader]);
   }
   group.crash_at(4, 2500);
   group.net().run();

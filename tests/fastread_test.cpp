@@ -123,7 +123,8 @@ SimRegisterGroup make_group(Algorithm algo, std::uint32_t n, std::uint32_t t) {
 Tick timed_write(SimRegisterGroup& group, std::int64_t v) {
   const Tick start = group.net().now();
   Tick end = -1;
-  group.begin_write(Value::from_int64(v), [&] { end = group.net().now(); });
+  group.client().write(Value::from_int64(v),
+                       [&](const OpResult&) { end = group.net().now(); });
   group.net().run();
   EXPECT_GE(end, 0);
   return end - start;
@@ -133,10 +134,10 @@ Tick timed_read(SimRegisterGroup& group, ProcessId reader,
                 std::int64_t expect_value, SeqNo expect_index) {
   const Tick start = group.net().now();
   Tick end = -1;
-  group.begin_read(reader, [&](const Value& v, SeqNo index) {
+  group.client().read(reader, [&](const OpResult& r) {
     end = group.net().now();
-    EXPECT_EQ(v.to_int64(), expect_value);
-    EXPECT_EQ(index, expect_index);
+    EXPECT_EQ(r.value.to_int64(), expect_value);
+    EXPECT_EQ(r.version, expect_index);
   });
   group.net().run();
   EXPECT_GE(end, 0);
@@ -184,25 +185,26 @@ TEST(FastReadFallback, OhRamTakesWriteBackPathUnderContention) {
   opt.delay = make_uniform_delay(1, 1500);
   SimRegisterGroup group(std::move(opt));
 
+  RegisterClient& client = group.client();
   int writes_done = 0;
-  std::function<void()> next_write = [&] {
+  OpCallback next_write = [&](const OpResult&) {
     ++writes_done;
     if (writes_done < 20) {
-      group.begin_write(Value::from_int64(writes_done + 1), next_write);
+      client.write(Value::from_int64(writes_done + 1), next_write);
     }
   };
-  group.begin_write(Value::from_int64(1), next_write);
+  client.write(Value::from_int64(1), next_write);
 
   int reads_done = 0;
-  std::vector<std::function<void(const Value&, SeqNo)>> read_cbs(5);
+  std::vector<OpCallback> read_cbs(5);
   for (ProcessId reader = 1; reader <= 3; ++reader) {
-    read_cbs[reader] = [&, reader](const Value& v, SeqNo index) {
+    read_cbs[reader] = [&, reader](const OpResult& r) {
       // The register holds from_int64(index) after write #index.
-      EXPECT_EQ(v.to_int64(), index);
+      EXPECT_EQ(r.value.to_int64(), r.version);
       ++reads_done;
-      if (reads_done < 60) group.begin_read(reader, read_cbs[reader]);
+      if (reads_done < 60) client.read(reader, read_cbs[reader]);
     };
-    group.begin_read(reader, read_cbs[reader]);
+    client.read(reader, read_cbs[reader]);
   }
   group.net().run();
 

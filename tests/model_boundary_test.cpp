@@ -103,12 +103,13 @@ TEST(ModelBoundary, MajorityCrashStallsWritesButKeepsSafety) {
   group.crash(4);
 
   bool write_done = false;
-  group.begin_write(Value::from_int64(2), [&] { write_done = true; });
+  group.client().write(Value::from_int64(2),
+                       [&](const OpResult&) { write_done = true; });
   bool read_done = false;
   SeqNo read_idx = -1;
-  group.begin_read(1, [&](const Value&, SeqNo idx) {
+  group.client().read(1, [&](const OpResult& r) {
     read_done = true;
-    read_idx = idx;
+    read_idx = r.version;
   });
   EXPECT_TRUE(group.net().run());  // drains: nothing left to deliver
   EXPECT_FALSE(write_done) << "a write must hang without a live quorum";
@@ -128,7 +129,8 @@ TEST(ModelBoundary, ExactlyHalfAliveIsNotEnough) {
   group.crash(2);
   group.crash(3);
   bool done = false;
-  group.begin_write(Value::from_int64(1), [&] { done = true; });
+  group.client().write(Value::from_int64(1),
+                       [&](const OpResult&) { done = true; });
   EXPECT_TRUE(group.net().run());
   EXPECT_FALSE(done);
 }

@@ -3,7 +3,8 @@
 // thread interleavings.
 #include <gtest/gtest.h>
 
-#include "runtime/thread_workload.hpp"
+#include "runtime/thread_network.hpp"
+#include "workload/live_workload.hpp"
 
 namespace tbr {
 namespace {
@@ -132,21 +133,18 @@ class ThreadedLinearizability : public testing::TestWithParam<ThreadLinCase> {
 
 TEST_P(ThreadedLinearizability, ConcurrentHistoryIsAtomic) {
   const auto& c = GetParam();
-  ThreadWorkloadOptions opt;
-  opt.cfg = make_cfg(c.n, c.t);
-  opt.algo = c.algo;
+  ThreadNetwork::Options opt = net_options(c.algo, c.n, c.t);
   opt.seed = c.seed;
-  opt.ops_per_process = 24;
-  opt.min_delay_us = 0;
   opt.max_delay_us = 250;
-  opt.crashes = c.crashes;
-  const auto result = run_thread_workload(opt);
+  ThreadNetwork net(opt);
+  const auto result = run_live_workload(
+      net, {.seed = c.seed, .ops_per_process = 24, .crashes = c.crashes});
   const auto check = result.check_atomicity(opt.cfg.initial);
   EXPECT_TRUE(check.ok) << check.error;
   if (c.crashes == 0) {
     EXPECT_EQ(result.completed_by_correct, result.quota_of_correct);
   }
-  EXPECT_GT(result.stats.total_sent(), 0u);
+  EXPECT_GT(net.stats_snapshot().total_sent(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -23,7 +23,7 @@
 namespace tbr {
 namespace {
 
-MuxProcess::SlotFactory linked_factory(Algorithm algo) {
+RegisterFactory linked_factory(Algorithm algo) {
   return [algo](const GroupConfig& cfg, ProcessId pid) {
     return std::make_unique<ReliableLinkProcess>(
         cfg, pid, make_register_process(algo, cfg, pid));
@@ -37,7 +37,7 @@ struct MuxRig {
   std::unique_ptr<SimNetwork> net;
 
   MuxRig(std::uint32_t nodes, std::uint32_t t, std::uint32_t slots,
-         const MuxProcess::SlotFactory& factory, SimNetwork::Options options)
+         const RegisterFactory& factory, SimNetwork::Options options)
       : n(nodes),
         net(std::make_unique<SimNetwork>(
             make_mux_group(nodes, t, slots, Value(), factory),

@@ -21,7 +21,8 @@
 #include "link/reliable_link.hpp"
 #include "net/codec.hpp"
 #include "transport/frame_buffer.hpp"
-#include "transport/socket_workload.hpp"
+#include "transport/socket_network.hpp"
+#include "workload/live_workload.hpp"
 
 namespace tbr {
 namespace {
@@ -851,20 +852,19 @@ class SocketLinearizability : public testing::TestWithParam<SocketLinCase> {};
 
 TEST_P(SocketLinearizability, ConcurrentTcpHistoryIsAtomic) {
   const auto& c = GetParam();
-  SocketWorkloadOptions opt;
+  SocketNetwork::Options opt;
   opt.cfg = make_cfg(c.n, c.t);
   opt.algo = c.algo;
-  opt.seed = c.seed;
-  opt.ops_per_process = 20;
-  opt.crashes = c.crashes;
   opt.loops = c.loops;
-  const auto result = run_socket_workload(opt);
+  SocketNetwork net(opt);
+  const auto result = run_live_workload(
+      net, {.seed = c.seed, .ops_per_process = 20, .crashes = c.crashes});
   const auto check = result.check_atomicity(opt.cfg.initial);
   EXPECT_TRUE(check.ok) << check.error;
   if (c.crashes == 0) {
     EXPECT_EQ(result.completed_by_correct, result.quota_of_correct);
   }
-  EXPECT_GT(result.stats.total_sent(), 0u);
+  EXPECT_GT(net.stats_snapshot().total_sent(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

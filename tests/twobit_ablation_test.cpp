@@ -16,10 +16,7 @@
 namespace tbr {
 namespace {
 
-using Factory = std::function<std::unique_ptr<RegisterProcessBase>(
-    const GroupConfig&, ProcessId)>;
-
-CheckStats run_and_analyze(const Factory& factory, std::uint64_t seed,
+CheckStats run_and_analyze(const RegisterFactory& factory, std::uint64_t seed,
                            std::uint32_t n = 5) {
   SimWorkloadOptions opt;
   opt.cfg.n = n;
@@ -46,13 +43,14 @@ CheckStats run_and_analyze(const Factory& factory, std::uint64_t seed,
   return SwmrChecker::analyze(result.ops, opt.cfg.initial);
 }
 
-Factory twobit_factory(TwoBitOptions options) {
+RegisterFactory twobit_factory(TwoBitOptions options) {
   return [options](const GroupConfig& cfg, ProcessId pid) {
     return std::make_unique<TwoBitProcess>(cfg, pid, options);
   };
 }
 
-CheckStats sweep(const Factory& factory, int seeds, std::uint32_t n = 5) {
+CheckStats sweep(const RegisterFactory& factory, int seeds,
+                 std::uint32_t n = 5) {
   CheckStats total;
   for (int s = 0; s < seeds; ++s) {
     const auto stats =
@@ -152,7 +150,7 @@ TEST(WaitAblation, FaithfulAbdWriteBackPreventsInversion) {
 }
 
 TEST(WaitAblation, RegularAbdIsRegularOnRandomSweep) {
-  const Factory factory = [](const GroupConfig& cfg, ProcessId pid) {
+  const RegisterFactory factory = [](const GroupConfig& cfg, ProcessId pid) {
     return make_abd_regular_process(cfg, pid);
   };
   const auto stats = sweep(factory, 20);
@@ -164,7 +162,7 @@ TEST(WaitAblation, RegularAbdIsRegularOnRandomSweep) {
 }
 
 TEST(WaitAblation, FullAbdSweepStaysAtomic) {
-  const Factory factory = [](const GroupConfig& cfg, ProcessId pid) {
+  const RegisterFactory factory = [](const GroupConfig& cfg, ProcessId pid) {
     return make_abd_unbounded_process(cfg, pid);
   };
   const auto stats = sweep(factory, 12);
@@ -172,7 +170,7 @@ TEST(WaitAblation, FullAbdSweepStaysAtomic) {
 }
 
 TEST(WaitAblation, RegularAbdStillSatisfiesRegularPredicate) {
-  const Factory factory = [](const GroupConfig& cfg, ProcessId pid) {
+  const RegisterFactory factory = [](const GroupConfig& cfg, ProcessId pid) {
     return make_abd_regular_process(cfg, pid);
   };
   for (std::uint64_t s = 0; s < 8; ++s) {

@@ -5,14 +5,15 @@
 // the threaded runtime, and the socket runtime alike.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <functional>
 #include <thread>
 
 #include "checker/swmr_checker.hpp"
 #include "core/twobit_process.hpp"
-#include "runtime/thread_workload.hpp"
-#include "transport/socket_workload.hpp"
+#include "runtime/thread_network.hpp"
+#include "transport/socket_network.hpp"
 #include "workload/sim_workload.hpp"
 
 namespace tbr {
@@ -193,7 +194,7 @@ TEST(SimRecovery, FaultPlanCrashRejoinHistoryIsAtomic) {
     ++widx;
     Value v = Value::from_int64(widx);
     const auto id = log.begin_write(0, group.net().now(), widx, v);
-    group.begin_write(std::move(v), [&, id] {
+    group.client().write(std::move(v), [&, id](const OpResult&) {
       log.end_write(id, group.net().now());
       group.net().schedule_after(400, next_write);
     });
@@ -202,8 +203,8 @@ TEST(SimRecovery, FaultPlanCrashRejoinHistoryIsAtomic) {
   std::function<void()> next_read = [&] {
     if (reads_left-- <= 0) return;
     const auto id = log.begin_read(1, group.net().now());
-    group.begin_read(1, [&, id](const Value& v, SeqNo idx) {
-      log.end_read(id, group.net().now(), v, idx);
+    group.client().read(1, [&, id](const OpResult& r) {
+      log.end_read(id, group.net().now(), r.value, r.version);
       group.net().schedule_after(300, next_read);
     });
   };
@@ -215,8 +216,8 @@ TEST(SimRecovery, FaultPlanCrashRejoinHistoryIsAtomic) {
   std::function<void()> next_rejoin_read = [&] {
     if (rejoin_reads_left-- <= 0) return;
     const auto id = log.begin_read(2, group.net().now());
-    group.begin_read(2, [&, id](const Value& v, SeqNo idx) {
-      log.end_read(id, group.net().now(), v, idx);
+    group.client().read(2, [&, id](const OpResult& r) {
+      log.end_read(id, group.net().now(), r.value, r.version);
       group.net().schedule_after(500, next_rejoin_read);
     });
   };
@@ -299,6 +300,80 @@ TEST(SocketRecovery, CrashedProcessRejoinsAndServesReads) {
   ASSERT_TRUE(net.client().write_sync(Value::from_int64(11)).status.ok());
   EXPECT_EQ(net.client().read_sync(1).value.to_int64(), 11);
   net.stop();
+}
+
+// ---- the one recovery rule, on every runtime --------------------------------
+//
+// resolve_factories() decides what recover() builds. With no
+// recover_factory, a two-bit group built from `algo` rejoins through peer
+// catch-up; any other algorithm, and any group built by a process_factory,
+// refuses (ContractViolation) and the process stays crashed.
+
+enum class RejoinCase { kTwoBitDefault, kAbdDefault, kFactoryNoRejoiner };
+
+constexpr std::array<RejoinCase, 3> kRejoinCases = {
+    RejoinCase::kTwoBitDefault, RejoinCase::kAbdDefault,
+    RejoinCase::kFactoryNoRejoiner};
+
+template <typename Options>
+Options rejoin_options(RejoinCase c) {
+  Options opt;
+  opt.cfg = make_cfg(3);
+  opt.algo = c == RejoinCase::kAbdDefault ? Algorithm::kAbdUnbounded
+                                          : Algorithm::kTwoBit;
+  if (c == RejoinCase::kFactoryNoRejoiner) {
+    opt.process_factory = [](const GroupConfig& cfg, ProcessId pid) {
+      return std::make_unique<TwoBitProcess>(cfg, pid);
+    };
+  }
+  return opt;
+}
+
+TEST(RecoveryRule, SimRejoinsOnlyTheDefaultTwoBitGroup) {
+  for (const RejoinCase c : kRejoinCases) {
+    SimRegisterGroup group(rejoin_options<SimRegisterGroup::Options>(c));
+    ASSERT_TRUE(group.client().write_sync(Value::from_int64(1)).status.ok());
+    group.crash(2);
+    if (c != RejoinCase::kTwoBitDefault) {
+      EXPECT_THROW(group.recover(2), ContractViolation);
+      EXPECT_TRUE(group.net().crashed(2));
+      continue;
+    }
+    group.recover(2);
+    const OpResult out = group.client().read_sync(2);
+    ASSERT_TRUE(out.status.ok()) << out.status.message();
+    EXPECT_EQ(out.value.to_int64(), 1);
+  }
+}
+
+template <typename Net>
+void expect_live_recovery_rule() {
+  for (const RejoinCase c : kRejoinCases) {
+    Net net(rejoin_options<typename Net::Options>(c));
+    net.start();
+    ASSERT_TRUE(net.client().write_sync(Value::from_int64(1)).status.ok());
+    net.crash(2);
+    while (!net.crashed(2)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (c != RejoinCase::kTwoBitDefault) {
+      EXPECT_THROW(net.recover(2), ContractViolation);
+      EXPECT_EQ(net.client().read_sync(2).status.code(), StatusCode::kCrashed);
+      continue;
+    }
+    net.recover(2);
+    const OpResult out = read_after_recovery(net, 2);
+    ASSERT_TRUE(out.status.ok()) << out.status.message();
+    EXPECT_EQ(out.value.to_int64(), 1);
+  }
+}
+
+TEST(RecoveryRule, ThreadRejoinsOnlyTheDefaultTwoBitGroup) {
+  expect_live_recovery_rule<ThreadNetwork>();
+}
+
+TEST(RecoveryRule, SocketRejoinsOnlyTheDefaultTwoBitGroup) {
+  expect_live_recovery_rule<SocketNetwork>();
 }
 
 }  // namespace

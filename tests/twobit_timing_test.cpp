@@ -69,11 +69,12 @@ TEST(TwoBitTiming, ReadNeverExceedsFourDeltaAcrossAllPhaseOffsets) {
       bool read_done = false;
       const Tick base = group.net().now();
       group.net().schedule_at(base, [&] {
-        group.begin_write(Value::from_int64(2), [&] { write_done = true; });
+        group.client().write(Value::from_int64(2),
+                             [&](const OpResult&) { write_done = true; });
       });
       group.net().schedule_at(base + offset, [&] {
         const Tick start = group.net().now();
-        group.begin_read(n - 1, [&, start](const Value&, SeqNo) {
+        group.client().read(n - 1, [&, start](const OpResult&) {
           read_latency = group.net().now() - start;
           read_done = true;
         });
@@ -102,11 +103,11 @@ TEST(TwoBitTiming, EqualDelaysWorstCaseReadIsThreeDelta) {
     bool done = false;
     const Tick base = g2.net().now();
     g2.net().schedule_at(base, [&] {
-      g2.begin_write(Value::from_int64(2), [] {});
+      g2.client().write(Value::from_int64(2), [](const OpResult&) {});
     });
     g2.net().schedule_at(base + offset, [&] {
       const Tick start = g2.net().now();
-      g2.begin_read(2, [&, start](const Value&, SeqNo) {
+      g2.client().read(2, [&, start](const OpResult&) {
         latency = g2.net().now() - start;
         done = true;
       });
@@ -158,13 +159,13 @@ TEST(TwoBitTiming, FourDeltaSupremumIsApproachable) {
   Tick latency = -1;
   const Tick base = group.net().now();
   group.net().schedule_at(base + kDelta - 2, [&] {
-    group.begin_write(Value::from_int64(1), [] {});
+    group.client().write(Value::from_int64(1), [](const OpResult&) {});
   });
   group.net().schedule_at(base, [&] {
     const Tick start = group.net().now();
-    group.begin_read(2, [&, start](const Value& v, SeqNo) {
+    group.client().read(2, [&, start](const OpResult& r) {
       latency = group.net().now() - start;
-      EXPECT_EQ(v.to_int64(), 1);  // forced to return the fresh value
+      EXPECT_EQ(r.value.to_int64(), 1);  // forced to return the fresh value
     });
   });
   ASSERT_TRUE(group.net().run());
@@ -180,11 +181,11 @@ TEST(TwoBitTiming, ReadConcurrentWithWriteReturnsOldOrNew) {
     std::int64_t seen = -1;
     const Tick base = group.net().now();
     group.net().schedule_at(base, [&] {
-      group.begin_write(Value::from_int64(2), [] {});
+      group.client().write(Value::from_int64(2), [](const OpResult&) {});
     });
     group.net().schedule_at(base + offset, [&] {
-      group.begin_read(4, [&](const Value& v, SeqNo) {
-        seen = v.to_int64();
+      group.client().read(4, [&](const OpResult& r) {
+        seen = r.value.to_int64();
       });
     });
     (void)group.net().run();
