@@ -51,7 +51,8 @@ void BM_SocketRead(benchmark::State& state) {
 
 void register_all() {
   for (const auto algo : {Algorithm::kTwoBit, Algorithm::kAbdUnbounded,
-                          Algorithm::kAbdBounded, Algorithm::kAttiya}) {
+                          Algorithm::kAbdBounded, Algorithm::kAttiya,
+                          Algorithm::kOhRam, Algorithm::kTimeEfficient}) {
     for (const std::int64_t n : {3, 5}) {
       // Each op is 0.2-3 ms of real kernel round trips; a short MinTime
       // keeps the full-sweep artifact (bench_output.txt) affordable while

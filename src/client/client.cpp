@@ -80,7 +80,7 @@ void ClientBase::issue_chained(std::uint32_t first) {
     unwinding_ = true;
   }
   for (;;) {
-    std::uint32_t index;
+    OpState* st = nullptr;
     {
       const std::scoped_lock lock(pool_.mu());
       if (deferred_head_ == deferred_issues_.size()) {
@@ -89,11 +89,14 @@ void ClientBase::issue_chained(std::uint32_t first) {
         unwinding_ = false;
         return;
       }
-      index = deferred_issues_[deferred_head_++];
+      // Resolve the slot under the lock: a concurrent acquire() may be
+      // growing the pool's deque, which rewrites the index map that
+      // slot() reads (the slots themselves never move).
+      st = &pool_.slot(deferred_issues_[deferred_head_++]);
     }
     // May complete synchronously (terminal engine paths), re-entering
     // complete() -> issue_chained(), which defers to this loop.
-    engine_issue(pool_.slot(index));
+    engine_issue(*st);
   }
 }
 

@@ -49,6 +49,7 @@ Connection::FlushOutcome Connection::flush() {
       if (io.status == IoStatus::kClosed) out.status = IoStatus::kClosed;
       break;  // kWouldBlock: EPOLLOUT resumes; budget spent: next round
     }
+    ++out.writes;
     out_pos_ += io.bytes;
     budget -= io.bytes;
   }

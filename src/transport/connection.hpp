@@ -84,6 +84,7 @@ class Connection {
   struct FlushOutcome {
     IoStatus status = IoStatus::kOk;  ///< kClosed: peer gone, tear down
     bool resumed = false;             ///< crossed low water while parked
+    std::uint64_t writes = 0;         ///< write(2) calls that moved bytes
   };
   /// Write up to `write_budget` queued bytes. Never blocks; kWouldBlock is
   /// folded into kOk (wants_write() says whether EPOLLOUT is still needed).

@@ -26,13 +26,21 @@
 // once and updated O(1) — and that distinct processes on distinct loops
 // make progress in parallel.
 //
+// Loop iteration: a send only frames its message into the peer's outbuf;
+// just before it waits, the loop writes every channel that sends dirtied
+// once, so the frames one iteration queues for one peer share one
+// write(2) (BackpressureStats::socket_writes counts them). When the loops
+// leave a hardware thread spare, a loop with nothing to do polls for up
+// to 50 µs before it blocks, catching a peer's reply without the
+// sleep/wake-up round trip.
+//
 // Backpressure: every connection carries ConnLimits watermarks (see
 // transport/connection.hpp). When a peer's outbuf crosses high water the
 // connection parks and the owning process stops *admitting* client
 // operations — submissions queue in arrival order on the node and the
 // RegisterClient chain stalls deterministically instead of the outbuf
-// growing without bound. EPOLLOUT-driven flushes resume admission at low
-// water. Nothing queued is dropped or reordered. parked()/
+// growing without bound. A flush (pre-wait or EPOLLOUT-driven) that
+// drains to low water resumes admission. Nothing queued is dropped or reordered. parked()/
 // backpressure_snapshot() surface the state.
 //
 // Client API: client() exposes the same unified RegisterClient as every
@@ -99,6 +107,10 @@ class SocketNetwork final : private RegisterClientEngine {
     /// Live channel endpoints now (a full n-mesh has n(n-1); a closed
     /// channel removes both of its ends).
     std::uint32_t open_channels = 0;
+    /// write(2) calls that moved bytes, over every channel. Frames on the
+    /// wire (stats_snapshot() sent minus dropped) over this count is
+    /// frames per write(2).
+    std::uint64_t socket_writes = 0;
   };
 
   explicit SocketNetwork(Options options);

@@ -1,10 +1,12 @@
 // Socket runtime (src/transport): the register over real loopback TCP —
 // basic semantics via the unified client, all four algorithms on the
 // wire, crash behaviour, same-loop inline admission from completion
-// callbacks, per-process wire stats, untrusted-frame handling, the inbound
+// callbacks, per-process wire stats, the loop's one flush per dirty
+// channel and its bounded spin, untrusted-frame handling, the inbound
 // frame ring, concurrent-history atomicity, and composition with the
 // reliable-link decorator (timers on a real event loop).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <array>
 #include <atomic>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "core/twobit_codec.hpp"
 #include "core/twobit_process.hpp"
 #include "link/reliable_link.hpp"
 #include "net/codec.hpp"
@@ -566,6 +569,111 @@ TEST(SocketStatsTest, SnapshotDuringTrafficAndTotalsAfterStop) {
   EXPECT_EQ(s.total_dropped(), 0u);
   EXPECT_EQ(s.max_control_bits_per_msg(), 2u);
   EXPECT_GT(s.local_memory_peak(), 0u);
+}
+
+// ---- the loop iteration: one flush per dirty channel, bounded spin ---------------
+
+/// Frames a probe process received, in arrival order (its loop thread
+/// writes, the test thread reads).
+struct Inbox {
+  std::mutex mu;
+  std::vector<SeqNo> seqs;
+
+  std::vector<SeqNo> snapshot() {
+    const std::scoped_lock lock(mu);
+    return seqs;
+  }
+};
+
+/// No register protocol: process `from` sends `count` ACK frames (seq 1..
+/// count) to process `to` from one timer, and every process records what
+/// it receives in the shared inbox. Nothing else ever travels.
+class BurstProcess final : public RegisterProcessBase {
+ public:
+  BurstProcess(const GroupConfig& cfg, ProcessId self, ProcessId from,
+               ProcessId to, SeqNo count, Inbox& inbox)
+      : RegisterProcessBase(cfg, self), from_(from), to_(to), count_(count),
+        inbox_(inbox) {}
+
+  void on_start(NetworkContext& net) override {
+    if (self_id() != from_) return;
+    net.schedule(20'000'000, [this, &net] {  // 20 ms
+      for (SeqNo k = 1; k <= count_; ++k) {
+        Message msg;
+        msg.type = static_cast<std::uint8_t>(TwoBitType::kAck);
+        msg.seq = k;
+        msg.wire = codec().account(msg);
+        net.send(to_, msg);
+      }
+    });
+  }
+  void on_message(NetworkContext&, ProcessId, const Message& msg) override {
+    const std::scoped_lock lock(inbox_.mu);
+    inbox_.seqs.push_back(msg.seq);
+  }
+  void start_write(NetworkContext&, Value, WriteDone) override {
+    throw ContractViolation("BurstProcess runs no operations");
+  }
+  void start_read(NetworkContext&, ReadDone) override {
+    throw ContractViolation("BurstProcess runs no operations");
+  }
+  std::uint64_t local_memory_bytes() const override { return 0; }
+  const Codec& codec() const override { return twobit_codec(); }
+
+ private:
+  const ProcessId from_;
+  const ProcessId to_;
+  const SeqNo count_;
+  Inbox& inbox_;
+};
+
+TEST(SocketLoopTest, FramesQueuedByATimerLeaveInOneWrite) {
+  // A send only queues its frame; the loop writes each dirty channel once
+  // before it waits again. Here a timer is the only thing that ever runs:
+  // if the pre-wait flush skipped sends made outside on_io, the frames
+  // would sit in the outbuf with nothing left to wake the loop.
+  static constexpr SeqNo kFrames = 16;
+  Inbox inbox;
+  SocketNetwork::Options opt = net_options(Algorithm::kTwoBit, 3, 1);
+  opt.process_factory = [&inbox](const GroupConfig& cfg, ProcessId pid) {
+    return std::make_unique<BurstProcess>(cfg, pid, /*from=*/0, /*to=*/1,
+                                          kFrames, inbox);
+  };
+  SocketNetwork net(std::move(opt));
+  net.start();
+  ASSERT_TRUE(eventually([&] {
+    return inbox.snapshot().size() >= static_cast<std::size_t>(kFrames);
+  })) << "received " << inbox.snapshot().size() << " of " << kFrames;
+  std::vector<SeqNo> expected(kFrames);
+  for (SeqNo k = 0; k < kFrames; ++k) expected[k] = k + 1;
+  EXPECT_EQ(inbox.snapshot(), expected) << "all frames, in order, once";
+  // The only bytes any channel ever carried: one write(2).
+  EXPECT_EQ(net.backpressure_snapshot().socket_writes, 1u);
+  net.stop();
+}
+
+double process_cpu_seconds() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  const auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) / 1e6;
+  };
+  return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
+TEST(SocketLoopTest, IdleLoopsBlockInsteadOfSpinning) {
+  // A loop with a spare hardware thread polls briefly before it blocks;
+  // the poll is bounded, so an idle group costs next to no CPU. A loop
+  // that never blocked would burn one core per loop over the sleep.
+  SocketNetwork net(net_options(Algorithm::kTwoBit, 3, 1));
+  net.start();
+  ASSERT_TRUE(net.client().write_sync(Value::from_int64(1)).status.ok());
+  const double before = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double used = process_cpu_seconds() - before;
+  EXPECT_LT(used, 0.030) << "idle CPU over 300 ms: " << used * 1e3 << " ms";
+  net.stop();
 }
 
 // ---- untrusted peer frames ---------------------------------------------------------
